@@ -13,7 +13,6 @@ from .envy import (
     PositiveCycle,
     WeightedEnvyGraph,
     build_envy_graph,
-    is_permutation_resistant_fast,
     is_wefable,
     max_path_weights,
     min_subsidy,
@@ -68,7 +67,6 @@ __all__ = [
     "detect_two_types",
     "enumerate_maximum_matchings",
     "generate_instance",
-    "is_permutation_resistant_fast",
     "is_wef_allocation",
     "is_wef_outcome",
     "is_wefable",

@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import envy, generator, oracle, special
-from .errors import CapExceeded, ModeMismatch, WefHouseError
+from .errors import CapExceeded, ModeMismatch, NotWefable, WefHouseError
 from .model import (
     Allocation,
     Instance,
@@ -49,6 +49,10 @@ def _subsidy_strings(payments) -> list[str]:
     return [format_rational(p) for p in payments]
 
 
+def _assignment(allocation: Allocation) -> dict:
+    return {"assignment": list(allocation.assignment)}
+
+
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.input)
     started = time.perf_counter()
@@ -64,134 +68,117 @@ def _cmd_solve(args) -> int:
         },
     }
     if allocation is not None:
-        report["allocation"] = {"assignment": list(allocation.assignment)}
+        report["allocation"] = _assignment(allocation)
     _emit(report)
     return EXIT_FOUND if allocation is not None else EXIT_NOT_FOUND
 
 
-def _wefable_report(command: str, inst: Instance, allocation: Allocation) -> tuple[dict, int]:
+def _cmd_wefable(args) -> int:
+    """check-wefable and subsidy: one report, under the command's name."""
+    inst = _read_instance(args.input)
+    allocation = _read_allocation(args.allocation)
     started = time.perf_counter()
-    result = envy.max_path_weights(envy.build_envy_graph(inst, allocation))
-    elapsed = time.perf_counter() - started
-    report = {
-        "command": command,
-        "allocation": {"assignment": list(allocation.assignment)},
-        "timing_seconds": elapsed,
-    }
-    if isinstance(result, envy.PositiveCycle):
-        report["decision"] = "not-found"
-        report["wefable"] = False
-        report["witness_cycle"] = {
-            "nodes": list(result.nodes),
-            "weight": format_rational(result.weight),
-        }
-        return report, EXIT_NOT_FOUND
-    payments = tuple(
-        inst.weights[i] * result.per_agent[i] for i in range(inst.n)
-    )
-    report["decision"] = "found"
-    report["wefable"] = True
-    report["subsidy"] = _subsidy_strings(payments)
-    return report, EXIT_FOUND
-
-
-def _cmd_check_wefable(args) -> int:
-    inst = _read_instance(args.input)
-    allocation = _read_allocation(args.allocation)
-    report, code = _wefable_report("check-wefable", inst, allocation)
-    _emit(report)
-    return code
-
-
-def _cmd_subsidy(args) -> int:
-    inst = _read_instance(args.input)
-    allocation = _read_allocation(args.allocation)
-    report, code = _wefable_report("subsidy", inst, allocation)
-    _emit(report)
-    return code
-
-
-def _identical_applicable(inst: Instance) -> bool:
-    return all(row == inst.utilities[0] for row in inst.utilities)
-
-
-def _bivalued_applicable(inst: Instance) -> bool:
     try:
-        special.representing_graph(inst)
-        return True
-    except WefHouseError:
-        return False
+        payments = envy.min_subsidy(inst, allocation).payments
+    except NotWefable as exc:
+        verdict = {
+            "decision": "not-found",
+            "wefable": False,
+            "witness_cycle": {
+                "nodes": list(exc.cycle.nodes),
+                "weight": format_rational(exc.cycle.weight),
+            },
+        }
+        code = EXIT_NOT_FOUND
+    else:
+        verdict = {"decision": "found", "wefable": True, "subsidy": _subsidy_strings(payments)}
+        code = EXIT_FOUND
+    _emit(
+        {
+            "command": args.command,
+            "allocation": _assignment(allocation),
+            "timing_seconds": time.perf_counter() - started,
+            **verdict,
+        }
+    )
+    return code
 
 
-def _normalized_applicable(inst: Instance) -> bool:
-    return inst.n == 2 and all(sum(row) == 1 for row in inst.utilities)
+# -- special families ----------------------------------------------------------
+# Each runner returns (report fields, exit code) and raises ModeMismatch when
+# the instance lies outside its family.
+
+def _decision(allocation: Allocation | None) -> tuple[dict, int]:
+    if allocation is None:
+        return {"decision": "not-found"}, EXIT_NOT_FOUND
+    return {"decision": "found", "allocation": _assignment(allocation)}, EXIT_FOUND
+
+
+def _run_identical(inst: Instance, args) -> tuple[dict, int]:
+    outcome = special.solve_identical(inst)
+    fields, code = _decision(outcome.allocation)
+    fields["subsidy"] = _subsidy_strings(outcome.subsidy.payments)
+    return fields, code
+
+
+def _run_two_type(inst: Instance, args) -> tuple[dict, int]:
+    partition = special.detect_two_types(inst)
+    if partition is None:
+        raise ModeMismatch("instance does not have exactly two agent types")
+    return _decision(special.solve_two_types(inst, partition))
+
+
+def _run_bivalued(inst: Instance, args) -> tuple[dict, int]:
+    result = special.solve_bivalued(inst, candidate_cap=args.cap)
+    fields = {
+        "decision": result.status,
+        "counters": {
+            "candidates_checked": result.candidates_checked,
+            "matchings_checked": result.matchings_checked,
+        },
+    }
+    if result.allocation is not None:
+        fields["allocation"] = _assignment(result.allocation)
+    code = {"found": EXIT_FOUND, "not-found": EXIT_NOT_FOUND, "inconclusive": EXIT_CAP}
+    return fields, code[result.status]
+
+
+def _run_normalized(inst: Instance, args) -> tuple[dict, int]:
+    return _decision(special.solve_normalized_pair(inst))
+
+
+# in the order auto mode tries them
+_SPECIAL_MODES = {
+    "identical": _run_identical,
+    "two-type": _run_two_type,
+    "bivalued": _run_bivalued,
+    "normalized": _run_normalized,
+}
+
+
+def _run_special(inst: Instance, args) -> tuple[str, dict, int]:
+    if args.mode != "auto":
+        return args.mode, *_SPECIAL_MODES[args.mode](inst, args)
+    for mode, run in _SPECIAL_MODES.items():
+        try:
+            return mode, *run(inst, args)
+        except ModeMismatch:
+            pass
+    raise ModeMismatch("instance fits no special family (identical, two-type, bivalued, normalized)")
 
 
 def _cmd_special(args) -> int:
     inst = _read_instance(args.input)
-    mode = args.mode
-    if mode == "auto":
-        if _identical_applicable(inst):
-            mode = "identical"
-        elif special.detect_two_types(inst) is not None:
-            mode = "two-type"
-        elif _bivalued_applicable(inst):
-            mode = "bivalued"
-        elif _normalized_applicable(inst):
-            mode = "normalized"
-        else:
-            raise ModeMismatch("instance fits no special family (identical, two-type, bivalued, normalized)")
-    report = {"command": "special", "mode": mode}
     started = time.perf_counter()
-
-    if mode == "identical":
-        if not _identical_applicable(inst):
-            raise ModeMismatch("agents do not share one utility function")
-        outcome = special.solve_identical(inst)
-        report["decision"] = "found"
-        report["allocation"] = {"assignment": list(outcome.allocation.assignment)}
-        report["subsidy"] = _subsidy_strings(outcome.subsidy.payments)
-        code = EXIT_FOUND
-    elif mode == "two-type":
-        partition = special.detect_two_types(inst)
-        if partition is None:
-            raise ModeMismatch("instance does not have exactly two agent types")
-        allocation = special.solve_two_types(inst, partition)
-        if allocation is None:
-            report["decision"] = "not-found"
-            code = EXIT_NOT_FOUND
-        else:
-            report["decision"] = "found"
-            report["allocation"] = {"assignment": list(allocation.assignment)}
-            code = EXIT_FOUND
-    elif mode == "bivalued":
-        if not _bivalued_applicable(inst):
-            raise ModeMismatch("instance is not bi-valued with one house per agent")
-        result = special.solve_bivalued(inst, candidate_cap=args.cap)
-        report["decision"] = result.status
-        report["counters"] = {
-            "candidates_checked": result.candidates_checked,
-            "matchings_checked": result.matchings_checked,
+    mode, fields, code = _run_special(inst, args)
+    _emit(
+        {
+            "command": "special",
+            "mode": mode,
+            **fields,
+            "timing_seconds": time.perf_counter() - started,
         }
-        if result.allocation is not None:
-            report["allocation"] = {"assignment": list(result.allocation.assignment)}
-        code = {
-            "found": EXIT_FOUND,
-            "not-found": EXIT_NOT_FOUND,
-            "inconclusive": EXIT_CAP,
-        }[result.status]
-    elif mode == "normalized":
-        if not _normalized_applicable(inst):
-            raise ModeMismatch("needs two agents with utilities summing to one")
-        allocation = special.solve_normalized_pair(inst)
-        report["decision"] = "found"
-        report["allocation"] = {"assignment": list(allocation.assignment)}
-        code = EXIT_FOUND
-    else:
-        raise ModeMismatch(f"unknown mode {mode!r}")
-
-    report["timing_seconds"] = time.perf_counter() - started
-    _emit(report)
+    )
     return code
 
 
@@ -209,7 +196,7 @@ def _cmd_oracle(args) -> int:
         "timing_seconds": time.perf_counter() - started,
     }
     if found is not None:
-        report["allocation"] = {"assignment": list(found.assignment)}
+        report["allocation"] = _assignment(found)
     _emit(report)
     return EXIT_FOUND if found is not None else EXIT_NOT_FOUND
 
@@ -245,8 +232,16 @@ def _cmd_generate(args) -> int:
     return EXIT_FOUND
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1, like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wefhouse",
         description="Weighted envy-free house allocation: solvers, checks, subsidies.",
     )
@@ -254,37 +249,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="decide and compute a weighted envy-free allocation")
     solve.add_argument("--input", required=True, help="instance JSON file")
-    solve.add_argument("--format", choices=["json"], default="json")
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check-wefable", help="check whether an allocation can be subsidised into envy-freeness")
     check.add_argument("--input", required=True)
     check.add_argument("--allocation", required=True, help="allocation JSON file")
-    check.add_argument("--format", choices=["json"], default="json")
-    check.set_defaults(func=_cmd_check_wefable)
+    check.set_defaults(func=_cmd_wefable)
 
     subsidy = sub.add_parser("subsidy", help="minimum envy-eliminating payments for an allocation")
     subsidy.add_argument("--input", required=True)
     subsidy.add_argument("--allocation", required=True)
-    subsidy.add_argument("--format", choices=["json"], default="json")
-    subsidy.set_defaults(func=_cmd_subsidy)
+    subsidy.set_defaults(func=_cmd_wefable)
 
     spec = sub.add_parser("special", help="special-case solvers (identical, two-type, bivalued, normalized)")
     spec.add_argument("--input", required=True)
     spec.add_argument(
         "--mode",
-        choices=["auto", "identical", "two-type", "bivalued", "normalized"],
+        choices=["auto", *_SPECIAL_MODES],
         default="auto",
     )
     spec.add_argument("--cap", type=int, default=100_000, help="bivalued candidate cap")
-    spec.add_argument("--format", choices=["json"], default="json")
     spec.set_defaults(func=_cmd_special)
 
     orc = sub.add_parser("oracle", help="brute-force reference queries for small instances")
     orc.add_argument("--input", required=True)
     orc.add_argument("--query", choices=["wef", "wefable"], required=True)
     orc.add_argument("--cap", type=int, default=oracle.DEFAULT_ALLOCATION_CAP)
-    orc.add_argument("--format", choices=["json"], default="json")
     orc.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("generate", help="write a deterministic random instance")

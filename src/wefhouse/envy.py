@@ -29,13 +29,12 @@ class WeightedEnvyGraph:
 
 @dataclass(frozen=True)
 class PathWeights:
-    """All-pairs maximum path weights and their per-agent maxima.
+    """Per agent, the maximum weight of a path in the envy graph starting there.
 
     The single-node path counts with weight 0, so per_agent entries are
     never negative.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
     per_agent: tuple[Fraction, ...]
 
 
@@ -69,7 +68,7 @@ def build_envy_graph(inst: Instance, allocation: Allocation) -> WeightedEnvyGrap
 
 
 def max_path_weights(graph: WeightedEnvyGraph) -> PathWeights | PositiveCycle:
-    """All-pairs longest paths by max-plus relaxation, or a positive cycle.
+    """Longest path weight from each agent, or a positive cycle.
 
     Runs the cubic all-pairs relaxation with a fixed outer order; exact
     arithmetic makes the closure independent of that order.  A diagonal
@@ -89,10 +88,7 @@ def max_path_weights(graph: WeightedEnvyGraph) -> PathWeights | PositiveCycle:
                     di[j] = cand
     if any(dist[i][i] > 0 for i in range(n)):
         return _positive_cycle(graph)
-    return PathWeights(
-        tuple(tuple(row) for row in dist),
-        tuple(max(row) for row in dist),
-    )
+    return PathWeights(tuple(max(row) for row in dist))
 
 
 def _positive_cycle(graph: WeightedEnvyGraph) -> PositiveCycle:
@@ -151,27 +147,17 @@ def is_wefable(inst: Instance, allocation: Allocation) -> bool:
     return isinstance(max_path_weights(build_envy_graph(inst, allocation)), PathWeights)
 
 
-def is_permutation_resistant_fast(inst: Instance, allocation: Allocation) -> bool:
-    """Cycle-based equivalent of the factorial permutation-resistance check.
-
-    Exposed separately so tests can compare it against brute force over
-    all permutations of the allocated houses.
-    """
-    return is_wefable(inst, allocation)
-
-
 def min_subsidy(inst: Instance, allocation: Allocation) -> SubsidyVector:
     """Pointwise-minimum envy-eliminating payments for a WEFable allocation.
 
     Pays each agent its weight times the maximum envy along any path
     starting from it; every envy-eliminating vector is at least this,
-    componentwise.  Raises NotWefable when no such vector exists.
+    componentwise.  Raises NotWefable, carrying a positive envy cycle, when
+    no such vector exists.
     """
     result = max_path_weights(build_envy_graph(inst, allocation))
     if isinstance(result, PositiveCycle):
-        raise NotWefable(
-            f"positive envy cycle {result.nodes} of weight {result.weight}"
-        )
+        raise NotWefable(result)
     return SubsidyVector(
         tuple(inst.weights[i] * result.per_agent[i] for i in range(inst.n))
     )

@@ -41,10 +41,6 @@ class NegativeSubsidy(WefHouseError):
 
 # -- solver preconditions ---------------------------------------------------
 
-class EmptyAssignmentSet(WefHouseError):
-    """A top-set query was made against an empty assignment pool."""
-
-
 class MatchingSaturating(WefHouseError):
     """A Hall violator was requested although the matching covers every agent."""
 
@@ -52,12 +48,23 @@ class MatchingSaturating(WefHouseError):
 # -- envy graph -------------------------------------------------------------
 
 class NotWefable(WefHouseError):
-    """No subsidy vector can make the allocation weighted envy-free."""
+    """No subsidy vector can make the allocation weighted envy-free.
+
+    `cycle` is the `envy.PositiveCycle` that proves it.
+    """
+
+    def __init__(self, cycle):
+        super().__init__(f"positive envy cycle {cycle.nodes} of weight {cycle.weight}")
+        self.cycle = cycle
 
 
 # -- special-case solvers ---------------------------------------------------
 
-class NotIdenticalUtilities(WefHouseError):
+class ModeMismatch(WefHouseError):
+    """The instance lies outside the family a special-case solver requires."""
+
+
+class NotIdenticalUtilities(ModeMismatch):
     """Agents do not share a single utility function."""
 
 
@@ -65,19 +72,19 @@ class InconsistentPartition(WefHouseError):
     """A two-type partition does not match the instance."""
 
 
-class NotBivalued(WefHouseError):
+class NotBivalued(ModeMismatch):
     """Utilities are not drawn from a single pair {low, 1} with low < 1."""
 
 
-class NotSquare(WefHouseError):
+class NotSquare(ModeMismatch):
     """The instance does not have exactly one house per agent."""
 
 
-class NotNormalized(WefHouseError):
+class NotNormalized(ModeMismatch):
     """Agent utilities do not sum to one."""
 
 
-class NotTwoAgents(WefHouseError):
+class NotTwoAgents(ModeMismatch):
     """The operation is defined only for two agents."""
 
 
@@ -93,9 +100,3 @@ class NotUnweighted(WefHouseError):
 
 class CapExceeded(WefHouseError):
     """A brute-force enumeration would exceed its configured cap."""
-
-
-# -- command line -----------------------------------------------------------
-
-class ModeMismatch(WefHouseError):
-    """The instance does not satisfy the declared special-case mode."""

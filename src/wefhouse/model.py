@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -22,8 +23,6 @@ from .errors import (
     NonPositiveWeight,
     TooFewHouses,
 )
-
-Rational = Fraction
 
 
 def parse_rational(value) -> Fraction:
@@ -72,8 +71,21 @@ class Instance:
     def m(self) -> int:
         return len(self.utilities[0]) if self.utilities else 0
 
-    def utility(self, agent: int, house: int) -> Fraction:
-        return self.utilities[agent][house]
+
+def scaled_integers(inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """The instance with denominators cleared: (utilities, weights) as ints.
+
+    Utilities are all scaled by one common positive factor and weights by
+    another, so any comparison within utilities, within weights, or of
+    utility/weight ratios comes out as it does on the exact values.
+    """
+    u_den = lcm(*(v.denominator for row in inst.utilities for v in row), 1)
+    w_den = lcm(*(w.denominator for w in inst.weights), 1)
+    utilities = [
+        [v.numerator * (u_den // v.denominator) for v in row] for row in inst.utilities
+    ]
+    weights = [w.numerator * (w_den // w.denominator) for w in inst.weights]
+    return utilities, weights
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,10 @@ def make_instance(
     return Instance(parsed_weights, rows, agent_labels, house_labels)
 
 
+def _is_list(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
 def validate_instance(raw: Mapping) -> Instance:
     """Validate dict-shaped instance data (typically parsed JSON)."""
     if not isinstance(raw, Mapping):
@@ -183,19 +199,15 @@ def validate_instance(raw: Mapping) -> Instance:
         utilities = raw["utilities"]
     except KeyError as exc:
         raise MalformedInstance(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(weights, Sequence) or isinstance(weights, str):
+    if not _is_list(weights):
         raise MalformedInstance("'weights' must be a list")
-    if not isinstance(utilities, Sequence) or isinstance(utilities, str):
+    if not _is_list(utilities) or not all(_is_list(row) for row in utilities):
         raise MalformedInstance("'utilities' must be a list of lists")
-    for row in utilities:
-        if not isinstance(row, Sequence) or isinstance(row, str):
-            raise MalformedInstance("'utilities' must be a list of lists")
-    return make_instance(
-        weights,
-        utilities,
-        agent_labels=raw.get("agent_labels"),
-        house_labels=raw.get("house_labels"),
-    )
+    labels = {field: raw.get(field) for field in ("agent_labels", "house_labels")}
+    for field, value in labels.items():
+        if value is not None and not _is_list(value):
+            raise MalformedInstance(f"{field!r} must be a list")
+    return make_instance(weights, utilities, **labels)
 
 
 def check_allocation(inst: Instance, allocation: Allocation) -> None:
@@ -225,11 +237,8 @@ def is_wef_allocation(inst: Instance, allocation: Allocation) -> bool:
 
 def is_wef_outcome(inst: Instance, outcome: Outcome) -> bool:
     """Exact weighted envy-freeness check with utilities augmented by payments."""
+    # an Outcome has one payment per allocated agent, so this also fits the payments
     check_allocation(inst, outcome.allocation)
-    if len(outcome.subsidy) != inst.n:
-        raise DimensionMismatch(
-            f"{len(outcome.subsidy)} payments for {inst.n} agents"
-        )
     allocation, payments = outcome.allocation, outcome.subsidy
     for i in range(inst.n):
         own = (inst.utilities[i][allocation[i]] + payments[i]) / inst.weights[i]
@@ -271,23 +280,7 @@ def parse_allocation(text: str) -> Allocation:
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MalformedInstance("allocation data must be an object with 'assignment'")
     assignment = data["assignment"]
-    if not isinstance(assignment, Sequence) or isinstance(assignment, str):
+    if not _is_list(assignment):
         raise InvalidAllocation("'assignment' must be a list of house indices")
     return Allocation(tuple(assignment))
 
-
-def serialize_outcome(outcome: Outcome) -> str:
-    data = {
-        "assignment": list(outcome.allocation.assignment),
-        "subsidy": [format_rational(p) for p in outcome.subsidy.payments],
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def parse_outcome(text: str) -> Outcome:
-    data = json.loads(text)
-    if not isinstance(data, Mapping) or "assignment" not in data or "subsidy" not in data:
-        raise MalformedInstance("outcome data must carry 'assignment' and 'subsidy'")
-    allocation = Allocation(tuple(data["assignment"]))
-    subsidy = SubsidyVector(tuple(parse_rational(p) for p in data["subsidy"]))
-    return Outcome(allocation, subsidy)

@@ -12,120 +12,16 @@ violator pinpoints further assignments to discard.  The pool only ever
 shrinks, so the loop terminates; if it drops below one assignment per
 agent, no weighted envy-free allocation exists.
 
-`solve_wef` runs an integer-arithmetic engine with incremental caches;
-`solve_wef_reference` restates the same search directly on top of the
-public operations and is used to cross-check the engine in tests.
+`solve_wef` runs the search on the integer view of the instance
+(`model.scaled_integers`) with incremental caches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterator, NamedTuple
 
 from .bipartite import maximum_matching
-from .errors import EmptyAssignmentSet, MatchingSaturating
-from .model import Allocation, Instance
-
-
-class VirtualAssignment(NamedTuple):
-    """One potential assignment of a house to an agent."""
-
-    agent: int
-    house: int
-
-
-class VirtualAssignmentSet:
-    """Mutable pool of live (agent, house) assignments; removal only."""
-
-    __slots__ = ("n", "m", "_rows", "_size")
-
-    def __init__(self, n: int, m: int, rows: list[set[int]] | None = None):
-        self.n = n
-        self.m = m
-        self._rows = rows if rows is not None else [set() for _ in range(n)]
-        self._size = sum(len(r) for r in self._rows)
-
-    @classmethod
-    def full(cls, n: int, m: int) -> "VirtualAssignmentSet":
-        return cls(n, m, [set(range(m)) for _ in range(n)])
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def contains(self, agent: int, house: int) -> bool:
-        return house in self._rows[agent]
-
-    def houses_for(self, agent: int) -> tuple[int, ...]:
-        return tuple(sorted(self._rows[agent]))
-
-    def pairs(self) -> Iterator[VirtualAssignment]:
-        for agent in range(self.n):
-            for house in sorted(self._rows[agent]):
-                yield VirtualAssignment(agent, house)
-
-    def remove(self, agent: int, house: int) -> None:
-        self._rows[agent].remove(house)
-        self._size -= 1
-
-    def remove_all(self, assignments) -> None:
-        for agent, house in assignments:
-            self.remove(agent, house)
-
-    def copy(self) -> "VirtualAssignmentSet":
-        return VirtualAssignmentSet(self.n, self.m, [set(r) for r in self._rows])
-
-
-def virtual_value(inst: Instance, viewer: int, assignment: VirtualAssignment) -> Fraction:
-    """Value viewer places on giving `assignment.house` to `assignment.agent`:
-    the viewer's utility for the house divided by the receiving agent's weight."""
-    agent, house = assignment
-    return inst.utilities[viewer][house] / inst.weights[agent]
-
-
-def top_set(
-    inst: Instance, viewer: int, pool: VirtualAssignmentSet
-) -> set[VirtualAssignment]:
-    """All live assignments attaining the viewer's maximum value, ties included."""
-    if pool.size == 0:
-        raise EmptyAssignmentSet("top set of an empty assignment pool")
-    best: Fraction | None = None
-    tops: set[VirtualAssignment] = set()
-    for assignment in pool.pairs():
-        value = inst.utilities[viewer][assignment.house] / inst.weights[assignment.agent]
-        if best is None or value > best:
-            best = value
-            tops = {assignment}
-        elif value == best:
-            tops.add(assignment)
-    return tops
-
-
-def prune_dominated(
-    inst: Instance,
-    pool: VirtualAssignmentSet,
-    on_remove: Callable[[VirtualAssignmentSet], None] | None = None,
-) -> VirtualAssignmentSet:
-    """Discard dominated top groups until every agent's top set meets its own row.
-
-    Scans agents in ascending index order, removes the first triggering
-    agent's whole top set, and rescans.  Returns the pool at the fixed
-    point, which may be empty.  `on_remove` is a test instrumentation hook
-    called after each removal.
-    """
-    while pool.size:
-        for viewer in range(inst.n):
-            tops = top_set(inst, viewer, pool)
-            if any(t.agent == viewer for t in tops):
-                continue
-            pool.remove_all(tops)
-            if on_remove is not None:
-                on_remove(pool)
-            break
-        else:
-            break
-    return pool
+from .errors import MatchingSaturating
+from .model import Allocation, Instance, scaled_integers
 
 
 @dataclass(frozen=True)
@@ -134,22 +30,6 @@ class CandidateGraph:
 
     neighbors: tuple[tuple[int, ...], ...]
     house_count: int
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.neighbors)
-
-
-def build_candidate_graph(inst: Instance, pool: VirtualAssignmentSet) -> CandidateGraph:
-    """Edges (i, h) where assigning h to i attains agent i's current maximum."""
-    rows = []
-    for viewer in range(inst.n):
-        if pool.size == 0:
-            rows.append(())
-            continue
-        tops = top_set(inst, viewer, pool)
-        rows.append(tuple(sorted(t.house for t in tops if t.agent == viewer)))
-    return CandidateGraph(tuple(rows), inst.m)
 
 
 def n_saturating_matching(
@@ -251,46 +131,7 @@ def solve_wef_traced(inst: Instance) -> tuple[Allocation | None, SolveStats]:
     return None, stats
 
 
-def solve_wef_reference(
-    inst: Instance,
-    on_remove: Callable[[VirtualAssignmentSet], None] | None = None,
-) -> Allocation | None:
-    """The same search written directly over the public operations.
-
-    Slower than solve_wef but easy to audit; tests cross-check the two on
-    random instances, where they must return identical results.
-    """
-    pool = VirtualAssignmentSet.full(inst.n, inst.m)
-    while pool.size >= inst.n:
-        prune_dominated(inst, pool, on_remove=on_remove)
-        if pool.size < inst.n:
-            break
-        graph = build_candidate_graph(inst, pool)
-        allocation, matching = n_saturating_matching(graph)
-        if allocation is not None:
-            return allocation
-        violator = minimal_hall_violator(graph, matching)
-        pool.remove_all(
-            (a, h) for a in sorted(violator.agents) for h in graph.neighbors[a]
-        )
-        if on_remove is not None:
-            on_remove(pool)
-    return None
-
-
 # -- integer engine ----------------------------------------------------------
-
-def _scaled_integers(inst: Instance) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators: utilities and weights each scaled by one common
-    positive factor, which changes no comparison the search performs."""
-    u_den = lcm(*(v.denominator for row in inst.utilities for v in row), 1)
-    w_den = lcm(*(w.denominator for w in inst.weights), 1)
-    utilities = [
-        [v.numerator * (u_den // v.denominator) for v in row] for row in inst.utilities
-    ]
-    weights = [w.numerator * (w_den // w.denominator) for w in inst.weights]
-    return utilities, weights
-
 
 class _Engine:
     """Incremental state for the assignment-pool search, all in integers.
@@ -304,7 +145,7 @@ class _Engine:
     def __init__(self, inst: Instance):
         self.n = inst.n
         self.m = inst.m
-        self.U, self.W = _scaled_integers(inst)
+        self.U, self.W = scaled_integers(inst)
         n, m = self.n, self.m
         self.rows: list[set[int]] = [set(range(m)) for _ in range(n)]
         self.live = n * m

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator
 
 from .bipartite import max_weight_assignment, maximum_matching
@@ -25,7 +24,7 @@ from .errors import (
     NotUnweighted,
     SearchFailed,
 )
-from .model import Allocation, Instance, Outcome, SubsidyVector
+from .model import Allocation, Instance, Outcome, SubsidyVector, scaled_integers
 
 
 def solve_identical(inst: Instance) -> Outcome:
@@ -307,10 +306,7 @@ def unweighted_efable(inst: Instance) -> Allocation:
     if any(w != inst.weights[0] for w in inst.weights):
         raise NotUnweighted(f"weights are not all equal: {inst.weights}")
     n, m = inst.n, inst.m
-    den = lcm(*(v.denominator for row in inst.utilities for v in row), 1)
-    scaled = [
-        [v.numerator * (den // v.denominator) for v in row] for row in inst.utilities
-    ]
+    scaled = scaled_integers(inst)[0]
     base = (m + 1) ** n
     values = [
         [scaled[i][h] * base - h * (m + 1) ** (n - 1 - i) for h in range(m)]

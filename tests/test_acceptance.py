@@ -43,6 +43,8 @@ from wefhouse.special import (
     solve_two_types,
 )
 
+from conftest import random_instances
+
 
 @contextmanager
 def criterion(number, description):
@@ -54,34 +56,10 @@ def criterion(number, description):
     print(f"ACCEPTANCE {number}: PASS - {description}")
 
 
-def sweep_shapes(n_max, m_max, n_min=1):
-    return [(n, m) for n in range(n_min, n_max + 1) for m in range(n, m_max + 1)]
-
-
-def generate_sweep(count, shapes, seed0, **config):
-    instances = []
-    seed = seed0
-    while len(instances) < count:
-        for n, m in shapes:
-            if len(instances) >= count:
-                break
-            seed += 1
-            instances.append(
-                generate_instance(GeneratorConfig(n=n, m=m, seed=seed, **config))
-            )
-    return instances
-
-
 @pytest.fixture(scope="module")
 def main_sweep():
     # utilities in {0..3}, weights in {1..3}, all shapes up to 4 agents, 5 houses
-    return generate_sweep(
-        2002,
-        sweep_shapes(4, 5),
-        seed0=100_000,
-        weights="uniform:1:3",
-        utilities="uniform:0:3",
-    )
+    return random_instances(2002, seed0=100_000)
 
 
 def no_positive_cycle_by_enumeration(inst, allocation):
@@ -186,14 +164,7 @@ def test_criterion_5_minimum_subsidy(main_sweep):
 
 def test_criterion_6_identical_utilities():
     with criterion(6, "identical utilities: everything WEFable, outcome equalized"):
-        instances = generate_sweep(
-            500,
-            sweep_shapes(4, 5),
-            seed0=200_000,
-            weights="uniform:1:3",
-            utilities="uniform:0:3",
-            structure="identical",
-        )
+        instances = random_instances(500, seed0=200_000, structure="identical")
         for inst in instances:
             for allocation in iter_allocations(inst.n, inst.m):
                 assert is_wefable(inst, allocation)
@@ -209,13 +180,8 @@ def test_criterion_6_identical_utilities():
 
 def test_criterion_7_two_types():
     with criterion(7, "two agent types: gate decision matches oracle, labels swap safely"):
-        instances = generate_sweep(
-            500,
-            sweep_shapes(5, 6, n_min=2),
-            seed0=300_000,
-            weights="uniform:1:3",
-            utilities="uniform:0:3",
-            structure="two-type",
+        instances = random_instances(
+            500, seed0=300_000, n_min=2, n_max=5, m_max=6, structure="two-type"
         )
         for inst in instances:
             partition = detect_two_types(inst)
@@ -231,14 +197,11 @@ def test_criterion_7_two_types():
 
 def test_criterion_8_bivalued():
     with criterion(8, "bi-valued square instances: scan matches oracle, Pareto checks hold"):
-        shapes = [(n, n) for n in range(1, 5)]
         for epsilon in (Fraction(0), Fraction(1, 2)):
-            instances = generate_sweep(
+            # square shapes 1x1 .. 4x4
+            instances = random_instances(
                 250,
-                shapes,
                 seed0=400_000 + int(epsilon * 1000),
-                weights="uniform:1:3",
-                utilities="uniform:0:3",
                 structure="bivalued",
                 epsilon=epsilon,
             )
@@ -276,10 +239,11 @@ def test_criterion_8_bivalued():
 
 def test_criterion_9_normalized_pairs():
     with criterion(9, "normalized two-agent instances always yield a WEFable pick"):
-        instances = generate_sweep(
+        instances = random_instances(
             500,
-            [(2, m) for m in range(2, 6)],
             seed0=500_000,
+            n_min=2,
+            n_max=2,
             weights="uniform:1:5",
             utilities="uniform:0:9",
             structure="normalized",

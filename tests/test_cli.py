@@ -1,14 +1,23 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from wefhouse.cli import main
+from wefhouse.envy import is_wefable, min_subsidy
+from wefhouse.errors import NotWefable
+from wefhouse.generator import GeneratorConfig, generate_instance
 from wefhouse.model import (
     Allocation,
+    format_rational,
+    make_instance,
+    parse_allocation,
     parse_instance,
     serialize_allocation,
     serialize_instance,
 )
+from wefhouse.special import detect_two_types
 
 from conftest import random_instances
 
@@ -35,6 +44,36 @@ def instance_file(write_files, inst, name="instance.json"):
 
 def allocation_file(write_files, assignment, name="allocation.json"):
     return write_files(name, serialize_allocation(Allocation(tuple(assignment))))
+
+
+def assert_reports_match_library(capsys, write_files, command, wefable, count=12):
+    """On seeded random allocations the library judges `wefable`, the report
+    carries the min_subsidy payments or the cycle NotWefable carries."""
+    rng = random.Random(900)
+    for inst in random_instances(300, seed0=900, n_min=2):
+        allocation = Allocation(tuple(rng.sample(range(inst.m), inst.n)))
+        if is_wefable(inst, allocation) != wefable:
+            continue
+        try:
+            payments = min_subsidy(inst, allocation).payments
+            expected = {"decision": "found", "wefable": True,
+                        "subsidy": [format_rational(p) for p in payments]}
+        except NotWefable as exc:
+            cycle = {"nodes": list(exc.cycle.nodes), "weight": format_rational(exc.cycle.weight)}
+            expected = {"decision": "not-found", "wefable": False, "witness_cycle": cycle}
+        code, out, _ = run_cli(
+            capsys, command, "--input", instance_file(write_files, inst),
+            "--allocation", allocation_file(write_files, allocation.assignment),
+        )
+        report = json.loads(out)
+        del report["timing_seconds"]
+        assert code == (0 if wefable else 2)
+        assignment = {"assignment": list(allocation.assignment)}
+        assert report == {"command": command, "allocation": assignment, **expected}
+        count -= 1
+        if count == 0:
+            return
+    pytest.fail("too few seeded allocations of the requested kind")
 
 
 class TestSolve:
@@ -64,6 +103,25 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--input", "/nonexistent/file.json")
         assert code == 1
         assert "error" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["solve", "--input", "instance.json", "--bogus"],
+            ["special", "--input", "instance.json", "--format", "json"],
+        ],
+        ids=["missing-required-flag", "unknown-flag", "removed-format-flag"],
+    )
+    def test_exit_one_without_report(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert caught.value.code == 1
+        assert out == ""
+        assert err.startswith("usage: wefhouse")
 
 
 class TestCheckWefable:
@@ -103,6 +161,10 @@ class TestCheckWefable:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("wefable", [True, False])
+    def test_report_matches_library(self, capsys, write_files, wefable):
+        assert_reports_match_library(capsys, write_files, "check-wefable", wefable)
+
 
 class TestSubsidy:
     def test_minimum_payments(self, capsys, write_files, identical_pair):
@@ -124,6 +186,10 @@ class TestSubsidy:
         )
         assert code == 2
         assert json.loads(out)["decision"] == "not-found"
+
+    @pytest.mark.parametrize("wefable", [True, False])
+    def test_report_matches_library(self, capsys, write_files, wefable):
+        assert_reports_match_library(capsys, write_files, "subsidy", wefable)
 
 
 class TestSpecial:
@@ -150,8 +216,6 @@ class TestSpecial:
         assert json.loads(out)["decision"] == "not-found"
 
     def test_bivalued_diagonal(self, capsys, write_files):
-        from wefhouse.model import make_instance
-
         inst = make_instance([1, 2], [[1, 0], [0, 1]])
         code, out, _ = run_cli(
             capsys,
@@ -180,8 +244,6 @@ class TestSpecial:
         assert json.loads(out)["mode"] == "identical"
 
     def test_explicit_normalized_mode(self, capsys, write_files):
-        from wefhouse.model import make_instance
-
         inst = make_instance([1, 5], [["1/4", "3/4"], ["2/3", "1/3"]])
         code, out, _ = run_cli(
             capsys,
@@ -194,14 +256,29 @@ class TestSpecial:
 
     def test_auto_two_type_beats_normalized(self, capsys, write_files):
         # any two distinct agents form two types, so auto picks that branch
-        from wefhouse.model import make_instance
-
         inst = make_instance([1, 5], [["1/4", "3/4"], ["2/3", "1/3"]])
         code, out, _ = run_cli(
             capsys, "special", "--input", instance_file(write_files, inst)
         )
         assert code == 0
         assert json.loads(out)["mode"] == "two-type"
+
+    def test_auto_resolves_bivalued(self, capsys, write_files):
+        inst = generate_instance(
+            GeneratorConfig(n=4, m=4, seed=5, structure="bivalued", epsilon=Fraction(1, 3))
+        )
+        code, out, _ = run_cli(capsys, "special", "--input", instance_file(write_files, inst))
+        assert code == 0
+        report = json.loads(out)
+        assert report["mode"] == "bivalued"
+        assert report["allocation"]["assignment"] == [3, 1, 0, 2]
+
+    def test_auto_no_family_exit_one(self, capsys, write_files):
+        inst = make_instance([1, 2, 3], [[1, 2, 3], [3, 2, 1], [2, 3, 1]])
+        code, out, err = run_cli(capsys, "special", "--input", instance_file(write_files, inst))
+        assert code == 1
+        assert out == ""
+        assert "fits no special family" in err
 
 
 class TestOracle:
@@ -226,8 +303,6 @@ class TestOracle:
         assert json.loads(out)["allocation"]["assignment"] == [0, 1]
 
     def test_cap_exit_three(self, capsys, write_files):
-        from wefhouse.model import make_instance
-
         inst = make_instance([1] * 8, [[1] * 8] * 8)
         code, _, err = run_cli(
             capsys,
@@ -264,8 +339,6 @@ class TestGenerate:
             "--n", "4", "--m", "5", "--seed", "7",
             "--output", out_path,
         )
-        from wefhouse.special import detect_two_types
-
         inst = parse_instance((tmp_path / "inst.json").read_text())
         assert detect_two_types(inst) is not None
 
@@ -307,8 +380,6 @@ def test_module_entry_point(tmp_path):
 
 class TestReportsRoundTrip:
     def test_solve_report_allocation_parses(self, capsys, write_files):
-        from wefhouse.model import parse_allocation
-
         for inst in random_instances(10, seed0=70):
             code, out, _ = run_cli(
                 capsys, "solve", "--input", instance_file(write_files, inst)

@@ -7,15 +7,15 @@ from wefhouse.envy import (
     PathWeights,
     PositiveCycle,
     build_envy_graph,
-    is_permutation_resistant_fast,
     is_wefable,
     max_path_weights,
     min_subsidy,
 )
 from wefhouse.errors import InvalidAllocation, NotWefable
-from wefhouse.model import Allocation, Outcome, is_wef_outcome, make_instance
+from wefhouse.model import Allocation, Outcome, SubsidyVector, is_wef_outcome, make_instance
 from wefhouse.oracle import iter_allocations, oracle_permutation_resistant
 from wefhouse.solver import solve_wef
+from wefhouse.special import detect_two_types, solve_two_types
 
 from conftest import random_instances
 
@@ -50,17 +50,20 @@ class TestMaxPathWeights:
         assert result.weight == Fraction(1, 4)
 
     def test_identical_pair_path_weights(self, identical_pair):
-        result = max_path_weights(build_envy_graph(identical_pair, Allocation((0, 1))))
+        graph = build_envy_graph(identical_pair, Allocation((0, 1)))
+        result = max_path_weights(graph)
         assert isinstance(result, PathWeights)
         assert result.per_agent == (Fraction(0), Fraction(5))
-        assert result.matrix[1][0] == Fraction(5)
+        # agent 1's longest path is the edge to agent 0
+        assert graph.weights[1][0] + result.per_agent[0] == Fraction(5)
 
     def test_zero_graph(self):
         inst = make_instance([1, 1, 1], [[1, 1, 1]] * 3)
-        result = max_path_weights(build_envy_graph(inst, Allocation((0, 1, 2))))
+        graph = build_envy_graph(inst, Allocation((0, 1, 2)))
+        result = max_path_weights(graph)
         assert isinstance(result, PathWeights)
         assert result.per_agent == (0, 0, 0)
-        assert all(v == 0 for row in result.matrix for v in row)
+        assert all(v == 0 for row in graph.weights for v in row)
 
     def test_relaxation_fixed_point(self):
         for inst in random_instances(80, seed0=600):
@@ -145,8 +148,10 @@ class TestMinSubsidy:
         assert payments.payments == (Fraction(0), Fraction(0))
 
     def test_not_wefable(self, flat_pair):
-        with pytest.raises(NotWefable):
+        with pytest.raises(NotWefable) as caught:
             min_subsidy(flat_pair, Allocation((0, 1)))
+        assert caught.value.cycle == PositiveCycle((0, 1, 0), Fraction(1, 4))
+        assert str(caught.value) == "positive envy cycle (0, 1, 0) of weight 1/4"
 
     def test_soundness_and_minimality_on_sweep(self):
         probe = Fraction(1, 1000)
@@ -162,8 +167,6 @@ class TestMinSubsidy:
                     for delta in (probe, p):
                         lowered = list(payments.payments)
                         lowered[i] = p - min(delta, p)
-                        from wefhouse.model import SubsidyVector
-
                         assert not is_wef_outcome(
                             inst, Outcome(allocation, SubsidyVector(tuple(lowered)))
                         )
@@ -171,24 +174,22 @@ class TestMinSubsidy:
 
 class TestPermutationResistance:
     def test_flat_pair(self, flat_pair):
-        assert not is_permutation_resistant_fast(flat_pair, Allocation((0, 1)))
+        assert not is_wefable(flat_pair, Allocation((0, 1)))
 
     def test_single_agent(self):
         inst = make_instance([2], [[3]])
-        assert is_permutation_resistant_fast(inst, Allocation((0,)))
+        assert is_wefable(inst, Allocation((0,)))
 
     def test_two_type_solution_is_resistant(self, two_type_pair):
-        from wefhouse.special import detect_two_types, solve_two_types
-
         allocation = solve_two_types(two_type_pair, detect_two_types(two_type_pair))
         assert allocation is not None
-        assert is_permutation_resistant_fast(two_type_pair, allocation)
+        assert is_wefable(two_type_pair, allocation)
         assert oracle_permutation_resistant(two_type_pair, allocation)
 
     def test_matches_factorial_check(self):
         for inst in random_instances(60, seed0=3100):
             for allocation in iter_allocations(inst.n, inst.m):
-                assert is_permutation_resistant_fast(
+                assert is_wefable(
                     inst, allocation
                 ) == oracle_permutation_resistant(inst, allocation)
 

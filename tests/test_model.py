@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from wefhouse.envy import is_wefable
 from wefhouse.errors import (
     DimensionMismatch,
     InvalidAllocation,
@@ -22,9 +23,11 @@ from wefhouse.model import (
     make_instance,
     parse_instance,
     parse_rational,
+    scaled_integers,
     serialize_instance,
     validate_instance,
 )
+from wefhouse.oracle import iter_allocations
 
 from conftest import random_instances
 
@@ -106,6 +109,14 @@ class TestValidateInstance:
                 {"weights": [1], "utilities": [[1]], "agent_labels": ["a", "b"]}
             )
 
+    @pytest.mark.parametrize(
+        "field,labels", [("agent_labels", "ab"), ("house_labels", {"x": 1, "y": 2})]
+    )
+    def test_labels_must_be_lists(self, field, labels):
+        raw = {"weights": [1, 1], "utilities": [[1, 2], [2, 1]], field: labels}
+        with pytest.raises(MalformedInstance):
+            validate_instance(raw)
+
 
 class TestContainers:
     def test_allocation_rejects_repeats(self):
@@ -164,8 +175,6 @@ class TestWefOutcome:
 
     def test_zero_subsidy_matches_plain_check(self):
         for inst in random_instances(120, seed0=900):
-            from wefhouse.oracle import iter_allocations
-
             for allocation in iter_allocations(inst.n, inst.m):
                 plain = is_wef_allocation(inst, allocation)
                 lifted = is_wef_outcome(
@@ -197,9 +206,11 @@ class TestSerialization:
 
 
 class TestScaleInvariance:
-    def test_common_scaling_preserves_wef(self):
-        from wefhouse.oracle import iter_allocations
+    def test_scaled_integers_clear_each_side_separately(self):
+        inst = make_instance(["1/2", "3/4"], [["1/3", 1], [0, "2/3"]])
+        assert scaled_integers(inst) == ([[1, 3], [0, 2]], [2, 3])
 
+    def test_common_scaling_preserves_wef(self):
         factor = Fraction(3, 7)
         for inst in random_instances(60, seed0=77):
             scaled = make_instance(
@@ -214,8 +225,6 @@ class TestScaleInvariance:
     def test_single_agent_scaling_changes_wefability(self, flat_pair):
         # doubling only the light agent's utilities makes the pair identical,
         # which admits subsidised envy-freeness although the original did not
-        from wefhouse.envy import is_wefable
-
         rescaled = make_instance(
             flat_pair.weights,
             [[v * 2 for v in flat_pair.utilities[0]], list(flat_pair.utilities[1])],

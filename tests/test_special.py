@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wefhouse.bipartite import max_weight_assignment
-from wefhouse.envy import is_wefable
+from wefhouse.envy import is_wefable, min_subsidy
 from wefhouse.errors import (
     InconsistentPartition,
     NotBivalued,
@@ -249,8 +249,6 @@ class TestEnumerateMaximumMatchings:
 
 class TestSolveBivalued:
     def test_diagonal_binary(self):
-        from wefhouse.envy import min_subsidy
-
         inst = make_instance([1, 7], [[1, 0], [0, 1]])
         result = solve_bivalued(inst)
         assert result.status == "found"
