@@ -11,25 +11,32 @@ def maximum_matching(
 
     Agents are processed in ascending index order and each agent tries its
     neighbours in the given order, so the result is deterministic.  Worst
-    case O(agents * edges).  Returns the matched house per agent, or None.
+    case O(agents * edges), with no recursion.  Returns the matched house
+    per agent, or None.
     """
     match_agent: list[int | None] = [None] * len(neighbors)
     match_house: list[int | None] = [None] * house_count
-
-    def try_augment(agent: int, visited: set[int]) -> bool:
-        for house in neighbors[agent]:
-            if house in visited:
+    seen = [-1] * house_count  # the last root whose search visited each house
+    for root in range(len(neighbors)):
+        # depth-first search for an augmenting path on an explicit stack of
+        # (agent on the path, iterator over the neighbours it has yet to try)
+        stack = [(root, iter(neighbors[root]))]
+        while stack:
+            for house in stack[-1][1]:
+                if seen[house] != root:
+                    break
+            else:
+                stack.pop()
                 continue
-            visited.add(house)
+            seen[house] = root
             owner = match_house[house]
-            if owner is None or try_augment(owner, visited):
-                match_house[house] = agent
-                match_agent[agent] = house
-                return True
-        return False
-
-    for agent in range(len(neighbors)):
-        try_augment(agent, set())
+            if owner is None:
+                # each agent on the path takes the house its successor held
+                for agent, _ in reversed(stack):
+                    match_house[house] = agent
+                    match_agent[agent], house = house, match_agent[agent]
+                break
+            stack.append((owner, iter(neighbors[owner])))
     return match_agent
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import NotWefable
-from .model import Allocation, Instance, SubsidyVector, check_allocation
+from .model import Allocation, Instance, SubsidyVector, check_allocation, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class PathWeights:
 class PositiveCycle:
     """Witness cycle with strictly positive total envy.
 
-    `nodes` is closed (first equals last) and rotated so the smallest
-    agent index comes first.
+    `nodes` is a simple cycle, closed (first equals last) and rotated so
+    the smallest agent index comes first.
     """
 
     nodes: tuple[int, ...]
@@ -70,76 +71,52 @@ def build_envy_graph(inst: Instance, allocation: Allocation) -> WeightedEnvyGrap
 def max_path_weights(graph: WeightedEnvyGraph) -> PathWeights | PositiveCycle:
     """Longest path weight from each agent, or a positive cycle.
 
-    Runs the cubic all-pairs relaxation with a fixed outer order; exact
-    arithmetic makes the closure independent of that order.  A diagonal
-    entry turning positive proves a positive-weight cycle, in which case
-    an explicit witness cycle is returned instead of path weights.
+    Bellman-Ford on the integer envy table toward a virtual sink that every
+    agent reaches by a 0-weight edge.  A pass raises each dist[i], in
+    ascending i, to the best w[i][j] + dist[j] and points succ[i] at the
+    first such j.  Any cycle of these pointers is positive, and one forms by
+    pass n if the graph has a positive cycle; else a pass that raises
+    nothing leaves the longest path weights in dist.
     """
-    n = graph.n
-    dist = [list(row) for row in graph.weights]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            di = dist[i]
-            dik = di[k]
-            for j in range(n):
-                cand = dik + dk[j]
-                if cand > di[j]:
-                    di[j] = cand
-    if any(dist[i][i] > 0 for i in range(n)):
-        return _positive_cycle(graph)
-    return PathWeights(tuple(max(row) for row in dist))
+    weights, den = clear_denominators(graph.weights)
+    dist = [0] * graph.n
+    succ: list[int | None] = [None] * graph.n
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(weights):
+            reach = list(map(add, row, dist))
+            best = max(reach)
+            if best > dist[i]:
+                dist[i] = best
+                succ[i] = reach.index(best)
+                changed = True
+        nodes = _successor_cycle(succ)
+        if nodes is not None:
+            weight = sum(graph.weights[a][b] for a, b in zip(nodes, nodes[1:]))
+            assert weight > 0
+            return PositiveCycle(nodes, weight)
+    return PathWeights(tuple(Fraction(d, den) for d in dist))
 
 
-def _positive_cycle(graph: WeightedEnvyGraph) -> PositiveCycle:
-    """Extract one positive-weight simple cycle.
+def _successor_cycle(succ: list[int | None]) -> tuple[int, ...] | None:
+    """A cycle of i -> succ[i], closed and smallest node first, or None.
 
-    Grows maximum walk weights by exact edge count until some closed walk
-    turns positive.  A positive closed walk of globally minimal length
-    cannot revisit a node (splitting it there would leave a shorter
-    positive closed walk), so the witness is a simple cycle.
+    Walks start at each node in ascending order; the first walk to run
+    into itself gives the cycle.
     """
-    n = graph.n
-    w = graph.weights
-    prev = [list(row) for row in w]  # best walks with exactly 1 edge
-    start = length = None
-    for t in range(2, n + 1):
-        cur = []
-        for i in range(n):
-            prow = prev[i]
-            cur.append(
-                [max(prow[k] + w[k][j] for k in range(n)) for j in range(n)]
-            )
-        for i in range(n):
-            if cur[i][i] > 0:
-                start, length = i, t
-                break
-        if start is not None:
-            break
-        prev = cur
-    assert start is not None, "no positive closed walk despite a positive diagonal"
-    # best walks from `start` by exact edge count, for the walk-back
-    rows: list[list[Fraction]] = [[], list(w[start])]
-    for t in range(2, length + 1):
-        prow = rows[t - 1]
-        rows.append([max(prow[k] + w[k][j] for k in range(n)) for j in range(n)])
-    backward = [start]
-    node = start
-    for t in range(length, 1, -1):
-        prow = rows[t - 1]
-        target = rows[t][node]
-        node = next(k for k in range(n) if prow[k] + w[k][node] == target)
-        backward.append(node)
-    backward.append(start)
-    core = backward[::-1][:-1]
-    assert len(set(core)) == len(core), "witness walk is not a simple cycle"
-    first = core.index(min(core))
-    nodes = tuple(core[first:] + core[:first] + [core[first]])
-    weight = sum(
-        (w[nodes[t]][nodes[t + 1]] for t in range(len(nodes) - 1)), Fraction(0)
-    )
-    assert weight > 0
-    return PositiveCycle(nodes, weight)
+    walk_of: list[int | None] = [None] * len(succ)
+    for start in range(len(succ)):
+        node, walk = start, []
+        while node is not None and walk_of[node] is None:
+            walk_of[node] = start
+            walk.append(node)
+            node = succ[node]
+        if node is not None and walk_of[node] == start:
+            cycle = walk[walk.index(node):]
+            first = cycle.index(min(cycle))
+            return tuple(cycle[first:] + cycle[:first] + [cycle[first]])
+    return None
 
 
 def is_wefable(inst: Instance, allocation: Allocation) -> bool:

@@ -25,6 +25,9 @@ from .errors import (
 )
 
 
+MAX_EXPONENT = 4300  # largest decimal exponent accepted: CPython's int_max_str_digits
+
+
 def parse_rational(value) -> Fraction:
     """Parse an int, a Fraction, or a "p/q" / decimal string, exactly."""
     if isinstance(value, bool):
@@ -34,8 +37,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        text = value.strip()
+        exponent = text.lower().partition("e")[2] if "e" in text or "E" in text else ""
         try:
-            return Fraction(value.strip())
+            if exponent and abs(int(exponent)) > MAX_EXPONENT:
+                raise MalformedNumber(f"exponent beyond {MAX_EXPONENT} in magnitude in {value!r}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedNumber(f"cannot parse rational from {value!r}") from exc
     raise MalformedNumber(f"cannot parse rational from {value!r}")
@@ -72,6 +79,16 @@ class Instance:
         return len(self.utilities[0]) if self.utilities else 0
 
 
+def clear_denominators(table: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The table times its least common denominator, and that denominator.
+
+    Entry (i, j) of the integer table equals table[i][j] * den exactly, so
+    sums and comparisons come out as they do on the exact values.
+    """
+    den = lcm(*(v.denominator for row in table for v in row), 1)
+    return [[v.numerator * (den // v.denominator) for v in row] for row in table], den
+
+
 def scaled_integers(inst: Instance) -> tuple[list[list[int]], list[int]]:
     """The instance with denominators cleared: (utilities, weights) as ints.
 
@@ -79,12 +96,8 @@ def scaled_integers(inst: Instance) -> tuple[list[list[int]], list[int]]:
     another, so any comparison within utilities, within weights, or of
     utility/weight ratios comes out as it does on the exact values.
     """
-    u_den = lcm(*(v.denominator for row in inst.utilities for v in row), 1)
-    w_den = lcm(*(w.denominator for w in inst.weights), 1)
-    utilities = [
-        [v.numerator * (u_den // v.denominator) for v in row] for row in inst.utilities
-    ]
-    weights = [w.numerator * (w_den // w.denominator) for w in inst.weights]
+    utilities, _ = clear_denominators(inst.utilities)
+    (weights,), _ = clear_denominators((inst.weights,))
     return utilities, weights
 
 

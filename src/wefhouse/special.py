@@ -24,7 +24,7 @@ from .errors import (
     NotUnweighted,
     SearchFailed,
 )
-from .model import Allocation, Instance, Outcome, SubsidyVector, scaled_integers
+from .model import Allocation, Instance, Outcome, SubsidyVector, format_rational, scaled_integers
 
 
 def solve_identical(inst: Instance) -> Outcome:
@@ -170,7 +170,8 @@ def representing_graph(inst: Instance) -> RepresentingGraph:
     values = {v for row in inst.utilities for v in row}
     low_values = values - {one}
     if len(low_values) > 1:
-        raise NotBivalued(f"more than two utility values: {sorted(values)}")
+        shown = ", ".join(format_rational(v) for v in sorted(values))
+        raise NotBivalued(f"more than two utility values: {shown}")
     if low_values:
         epsilon = low_values.pop()
         if epsilon >= 1:
@@ -304,7 +305,8 @@ def unweighted_efable(inst: Instance) -> Allocation:
     objective so one exact assignment solve suffices.
     """
     if any(w != inst.weights[0] for w in inst.weights):
-        raise NotUnweighted(f"weights are not all equal: {inst.weights}")
+        shown = ", ".join(format_rational(w) for w in inst.weights)
+        raise NotUnweighted(f"weights are not all equal: {shown}")
     n, m = inst.n, inst.m
     scaled = scaled_integers(inst)[0]
     base = (m + 1) ** n

@@ -104,6 +104,13 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_exponent_past_cap_exit_one(self, capsys, write_files):
+        path = write_files("big.json", '{"weights": ["1e4301"], "utilities": [["1"]]}')
+        code, out, err = run_cli(capsys, "solve", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert "exponent beyond 4300" in err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -272,6 +279,16 @@ class TestSpecial:
         report = json.loads(out)
         assert report["mode"] == "bivalued"
         assert report["allocation"]["assignment"] == [3, 1, 0, 2]
+
+    def test_bivalued_mismatch_prints_rationals(self, capsys, write_files):
+        inst = make_instance([1, 1], [[0, 1], ["1/50", 1]])
+        code, out, err = run_cli(
+            capsys, "special", "--input", instance_file(write_files, inst),
+            "--mode", "bivalued",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: more than two utility values: 0, 1/50, 1\n"
 
     def test_auto_no_family_exit_one(self, capsys, write_files):
         inst = make_instance([1, 2, 3], [[1, 2, 3], [3, 2, 1], [2, 3, 1]])

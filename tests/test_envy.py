@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from wefhouse.envy import (
     min_subsidy,
 )
 from wefhouse.errors import InvalidAllocation, NotWefable
+from wefhouse.generator import GeneratorConfig, generate_instance
 from wefhouse.model import Allocation, Outcome, SubsidyVector, is_wef_outcome, make_instance
 from wefhouse.oracle import iter_allocations, oracle_permutation_resistant
 from wefhouse.solver import solve_wef
-from wefhouse.special import detect_two_types, solve_two_types
+from wefhouse.special import detect_two_types, solve_two_types, unweighted_efable
 
 from conftest import random_instances
+from reference_envy import max_path_weights_reference
 
 
 class TestBuildEnvyGraph:
@@ -119,6 +122,54 @@ class TestMaxPathWeights:
                 if len(core) > 2:
                     seen_longer_than_two += 1
         assert seen_longer_than_two > 0
+
+
+def _engine_sweep():
+    """(instance, allocation) pairs for n up to 40, WEFable and not.
+
+    Identical utilities make every allocation WEFable, as does the
+    maximum-utility assignment under equal weights; random allocations of
+    general instances are mostly not WEFable, with cycles of many lengths.
+    """
+    rng = random.Random(9100)
+    for n in range(1, 41, 3):
+        for structure, weights, utilities in (
+            ("identical", "uniform:1:9", "uniform:0:30"),
+            ("general", "uniform:1:1", "uniform:0:30"),
+            ("general", "uniform:1:9", "uniform:0:3"),
+            ("general", "uniform:1:9", "uniform:0:30"),
+        ):
+            m = n + rng.randrange(n + 1)
+            inst = generate_instance(
+                GeneratorConfig(n=n, m=m, seed=rng.randrange(10**6),
+                                weights=weights, utilities=utilities, structure=structure)
+            )
+            yield inst, Allocation(tuple(rng.sample(range(m), n)))
+            if weights == "uniform:1:1":
+                yield inst, unweighted_efable(inst)
+
+
+class TestEngineAgainstReference:
+    def test_decision_path_weights_and_witnesses(self):
+        wefable = longer_cycles = 0
+        pairs = list(_engine_sweep())
+        for inst, allocation in pairs:
+            graph = build_envy_graph(inst, allocation)
+            result = max_path_weights(graph)
+            expected = max_path_weights_reference(graph)
+            if isinstance(result, PathWeights):
+                assert result.per_agent == expected
+                wefable += 1
+                continue
+            assert expected is None
+            nodes = result.nodes
+            assert nodes[0] == nodes[-1] == min(nodes)
+            assert len(set(nodes[:-1])) == len(nodes) - 1 >= 2
+            total = sum(graph.weights[a][b] for a, b in zip(nodes, nodes[1:]))
+            assert total == result.weight > 0
+            longer_cycles += len(nodes) > 3
+        assert 0 < wefable < len(pairs)
+        assert longer_cycles > 0
 
 
 class TestIsWefable:

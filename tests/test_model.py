@@ -52,6 +52,15 @@ class TestParseRational:
         with pytest.raises(MalformedNumber):
             parse_rational(raw)
 
+    @pytest.mark.parametrize("raw", ["1e4301", "1e-4301", "1E+4301", " 2.5e-4301 "])
+    def test_exponent_past_cap(self, raw):
+        with pytest.raises(MalformedNumber, match="exponent beyond 4300"):
+            parse_rational(raw)
+
+    def test_exponent_at_cap(self):
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+
     def test_format_roundtrip(self):
         assert format_rational(Fraction(1, 2)) == "1/2"
         assert format_rational(Fraction(3)) == "3"

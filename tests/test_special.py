@@ -194,6 +194,12 @@ class TestRepresentingGraph:
         with pytest.raises(NotBivalued):
             representing_graph(inst)
 
+    def test_three_values_message_shows_rationals(self):
+        inst = make_instance([1, 1], [[0, 1], ["1/50", 1]])
+        with pytest.raises(NotBivalued) as caught:
+            representing_graph(inst)
+        assert str(caught.value) == "more than two utility values: 0, 1/50, 1"
+
     def test_rejects_low_value_at_least_one(self):
         inst = make_instance([1, 1], [[2, 1], [1, 2]])
         with pytest.raises(NotBivalued):
@@ -333,6 +339,12 @@ class TestUnweightedEfable:
     def test_rejects_unequal_weights(self, flat_pair):
         with pytest.raises(NotUnweighted):
             unweighted_efable(flat_pair)
+
+    def test_unequal_weights_message_shows_rationals(self):
+        inst = make_instance([1, "1/2"], [[1, 0], [0, 1]])
+        with pytest.raises(NotUnweighted) as caught:
+            unweighted_efable(inst)
+        assert str(caught.value) == "weights are not all equal: 1, 1/2"
 
     def test_matches_brute_force_maximum(self):
         for inst in random_instances(120, seed0=860, weights="uniform:3:3"):
