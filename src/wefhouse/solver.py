@@ -13,7 +13,8 @@ shrinks, so the loop terminates; if it drops below one assignment per
 agent, no weighted envy-free allocation exists.
 
 `solve_wef` runs the search on the integer view of the instance
-(`model.scaled_integers`) with incremental caches.
+(`model.scaled_integers`), keeps the pool in one place and reads each
+candidate graph off the pruning fixed point.
 """
 from __future__ import annotations
 
@@ -136,10 +137,12 @@ def solve_wef_traced(inst: Instance) -> tuple[Allocation | None, SolveStats]:
 class _Engine:
     """Incremental state for the assignment-pool search, all in integers.
 
-    Per column it tracks the live agents grouped by weight and the current
-    minimum live weight; a viewer's best value over the whole pool is then
-    the best utility/min-weight ratio over columns, cached with the column
-    that attains it and recomputed lazily when that column degrades.
+    The pool is stored once, as each agent's set of live houses.  Agents are
+    kept in one order by ascending weight, and each column has a cursor into
+    that order at its lightest live owner; the pool only shrinks, so cursors
+    only move forward.  A viewer's best value over the whole pool is the
+    best utility/min-weight ratio over columns, cached with the column that
+    attains it and recomputed lazily when that column's minimum changes.
     """
 
     def __init__(self, inst: Instance):
@@ -149,14 +152,9 @@ class _Engine:
         n, m = self.n, self.m
         self.rows: list[set[int]] = [set(range(m)) for _ in range(n)]
         self.live = n * m
-        self.col_groups: list[dict[int, set[int]]] = []
-        for _ in range(m):
-            groups: dict[int, set[int]] = {}
-            for agent, w in enumerate(self.W):
-                groups.setdefault(w, set()).add(agent)
-            self.col_groups.append(groups)
-        min_w = min(self.W)
-        self.col_min: list[int | None] = [min_w] * m
+        self.order = sorted(range(n), key=self.W.__getitem__)
+        self.cursor = [0] * m
+        self.col_min: list[int | None] = [self.W[self.order[0]]] * m
         self.own_best: list[int | None] = [max(row) for row in self.U]
         self.best_num = [0] * n
         self.best_den = [1] * n
@@ -179,12 +177,10 @@ class _Engine:
             num = row[house]
             if num * best_den > best_num * den:
                 best_num, best_den, best_house = num, den, house
-        if best_house is None:
-            self.witness[viewer] = None
-        else:
+        self.witness[viewer] = best_house
+        if best_house is not None:
             self.best_num[viewer] = best_num
             self.best_den[viewer] = best_den
-            self.witness[viewer] = best_house
             self.watchers[best_house].add(viewer)
         self.stale[viewer] = False
 
@@ -218,11 +214,16 @@ class _Engine:
                     pairs.append((agent, house))
             return pairs
         row = self.U[viewer]
+        order, rows, W = self.order, self.rows, self.W
         for house in range(self.m):
             den = self.col_min[house]
             if den is not None and row[house] * best_den == best_num * den:
-                for agent in self.col_groups[house][den]:
-                    pairs.append((agent, house))
+                for k in range(self.cursor[house], self.n):
+                    agent = order[k]
+                    if W[agent] != den:
+                        break
+                    if house in rows[agent]:
+                        pairs.append((agent, house))
         return pairs
 
     def remove_pairs(self, pairs) -> None:
@@ -230,20 +231,20 @@ class _Engine:
             row = self.rows[agent]
             row.remove(house)
             self.live -= 1
-            if self.own_best[agent] == self.U[agent][house]:
-                self.own_best[agent] = max(
-                    (self.U[agent][x] for x in row), default=None
-                )
-            groups = self.col_groups[house]
-            weight = self.W[agent]
-            group = groups[weight]
-            group.remove(agent)
-            if not group:
-                del groups[weight]
-                if weight == self.col_min[house]:
-                    self.col_min[house] = min(groups) if groups else None
-                    for viewer in self.watchers[house]:
-                        self.stale[viewer] = True
+            values = self.U[agent]
+            if self.own_best[agent] == values[house]:
+                self.own_best[agent] = max((values[x] for x in row), default=None)
+            k = self.cursor[house]
+            if self.order[k] != agent:
+                continue
+            while k < self.n and house not in self.rows[self.order[k]]:
+                k += 1
+            self.cursor[house] = k
+            den = self.W[self.order[k]] if k < self.n else None
+            if den != self.col_min[house]:
+                self.col_min[house] = den
+                for viewer in self.watchers[house]:
+                    self.stale[viewer] = True
 
     def prune(self, stats: SolveStats) -> None:
         while True:
@@ -254,21 +255,12 @@ class _Engine:
             stats.prune_steps += 1
 
     def candidate_rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for viewer in range(self.n):
-            if self.stale[viewer]:
-                self._refresh(viewer)
-            best_num, best_den = self.best_num[viewer], self.best_den[viewer]
-            weight = self.W[viewer]
-            row = self.U[viewer]
-            rows.append(
-                tuple(
-                    h
-                    for h in sorted(self.rows[viewer])
-                    if row[h] * best_den == best_num * weight
-                )
-            )
-        return tuple(rows)
+        """Each agent's live houses of its best own value: at a pruning fixed
+        point, exactly the houses of its best ratio over the whole pool."""
+        return tuple(
+            tuple(sorted(h for h in live if row[h] == best))
+            for live, row, best in zip(self.rows, self.U, self.own_best)
+        )
 
 
 def _check_shared_favourites(engine: _Engine, graph: CandidateGraph) -> None:

@@ -195,40 +195,48 @@ def enumerate_maximum_matchings(
     reach maximum cardinality any more are cut by re-matching the rest.
     Stops after `cap` matchings when a cap is given.
     """
+    if cap == 0:
+        return
     n = graph.n
     target = sum(1 for h in maximum_matching(graph.neighbors, n) if h is not None)
-    remaining_cap = [cap if cap is not None else -1]
+    used: set[int] = set()
+    chosen: list[int | None] = []
 
-    def residual(agent: int, used: set[int]) -> int:
-        sub = [
-            tuple(h for h in graph.neighbors[a] if h not in used)
-            for a in range(agent, n)
-        ]
-        return sum(1 for h in maximum_matching(sub, n) if h is not None)
-
-    def extend(agent: int, used: set[int], chosen: list[int | None], matched: int):
-        if remaining_cap[0] == 0:
-            return
-        if agent == n:
-            yield tuple(chosen)
-            if remaining_cap[0] > 0:
-                remaining_cap[0] -= 1
-            return
-        for house in graph.neighbors[agent]:
-            if house in used:
-                continue
+    def take(agent: int, house: int | None) -> bool:
+        # None leaves the agent unmatched, so `used` holds the matched houses
+        if house is not None:
             used.add(house)
+        rest = [
+            tuple(h for h in graph.neighbors[a] if h not in used)
+            for a in range(agent + 1, n)
+        ]
+        if len(used) + sum(1 for h in maximum_matching(rest, n) if h is not None) >= target:
             chosen.append(house)
-            if matched + 1 + residual(agent + 1, used) >= target:
-                yield from extend(agent + 1, used, chosen, matched + 1)
-            chosen.pop()
-            used.remove(house)
-        chosen.append(None)
-        if matched + residual(agent + 1, used) >= target:
-            yield from extend(agent + 1, used, chosen, matched)
-        chosen.pop()
+            return True
+        used.discard(house)
+        return False
 
-    yield from extend(0, set(), [], 0)
+    # the branch, on an explicit stack: per agent, the choices it has yet to try
+    stack: list[Iterator[int | None]] = []
+    found = 0
+    while True:
+        if len(chosen) == n:
+            yield tuple(chosen)
+            found += 1
+            if found == cap:
+                return
+        else:
+            stack.append(iter((*graph.neighbors[len(chosen)], None)))
+        # back up to the deepest agent with a choice left and take it
+        while stack:
+            agent = len(stack) - 1
+            if len(chosen) > agent:
+                used.discard(chosen.pop())
+            if any(take(agent, house) for house in stack[-1] if house not in used):
+                break
+            stack.pop()
+        if not stack:
+            return
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from wefhouse.generator import GeneratorConfig, generate_instance
+from wefhouse import model
+from wefhouse.generator import GeneratorConfig, SplitMix64, generate_instance
 from wefhouse.model import make_instance
 
 
@@ -98,3 +99,31 @@ def random_instances(
                 )
             )
     return out
+
+
+# The benchmark's planted builder, copied from bench/workloads.py so that the
+# tests import nothing from bench/.
+
+def _injection(rng: SplitMix64, n: int, m: int) -> list[int]:
+    """n distinct houses out of m, uniformly, by a partial Fisher-Yates shuffle."""
+    houses = list(range(m))
+    for k in range(n):
+        j = k + rng.below(m - k)
+        houses[k], houses[j] = houses[j], houses[k]
+    return houses[:n]
+
+
+def planted_instance(rng: SplitMix64, n: int, m: int) -> model.Instance:
+    """Weights 1..10, utilities 0..100, then a random injective assignment is
+    made weighted envy-free by raising each agent's utility for its own house
+    to the smallest integer that removes its envy."""
+    weights = [rng.randint(1, 10) for _ in range(n)]
+    utilities = [[rng.randint(0, 100) for _ in range(m)] for _ in range(n)]
+    houses = _injection(rng, n, m)
+    for i in range(n):
+        row, w_i = utilities[i], weights[i]
+        need = max(
+            -(-row[houses[j]] * w_i // weights[j]) for j in range(n) if j != i
+        ) if n > 1 else 0
+        row[houses[i]] = max(row[houses[i]], need)
+    return model.make_instance(weights, utilities)

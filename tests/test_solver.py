@@ -1,20 +1,23 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from wefhouse.errors import MatchingSaturating
-from wefhouse.generator import GeneratorConfig, generate_instance
+from wefhouse.generator import GeneratorConfig, SplitMix64, generate_instance
 from wefhouse.model import Allocation, is_wef_allocation, make_instance
 from wefhouse.oracle import iter_allocations, oracle_wef_exists
 from wefhouse.solver import (
     CandidateGraph,
+    _check_shared_favourites,
+    _Engine,
     minimal_hall_violator,
     n_saturating_matching,
     solve_wef,
     solve_wef_traced,
 )
 
-from conftest import random_instances
+from conftest import planted_instance, random_instances
 from reference_solver import (
     VirtualAssignment,
     VirtualAssignmentSet,
@@ -199,6 +202,63 @@ class TestSolveWef:
         allocation = solve_wef(inst)
         assert allocation is not None
         assert is_wef_allocation(inst, allocation)
+
+
+def _generated(n, m, seed, weights, utilities):
+    return generate_instance(
+        GeneratorConfig(n=n, m=m, seed=seed, weights=weights, utilities=utilities)
+    )
+
+
+class TestSearchPath:
+    """Pin the decision and the counters, so that a change to the order in
+    which the search prunes or removes violators shows up here."""
+
+    @pytest.mark.parametrize(
+        "make, found, rounds, prune_steps, violators",
+        [
+            (lambda: _generated(40, 52, 3, "uniform:1:1", "uniform:0:1000"), False, 50, 50, 50),
+            (lambda: _generated(30, 60, 4, "uniform:1:1", "uniform:0:100"), False, 48, 52, 48),
+            (lambda: _generated(60, 120, 5, "uniform:1:10", "uniform:0:100"), False, 1, 720, 0),
+            (lambda: planted_instance(SplitMix64(7), 60, 120), True, 2, 285, 1),
+            (lambda: planted_instance(SplitMix64(8), 60, 120), True, 1, 319, 0),
+        ],
+        ids=["equal-1000", "equal-100", "weighted", "planted-7", "planted-8"],
+    )
+    def test_counters(self, make, found, rounds, prune_steps, violators):
+        allocation, stats = solve_wef_traced(make())
+        assert (allocation is not None) == found
+        assert (stats.rounds, stats.prune_steps, stats.violators_removed) == (
+            rounds, prune_steps, violators
+        )
+
+    @pytest.mark.parametrize(
+        "n, prune_steps", [(100, 473), (200, 917)], ids=["100x200", "200x400"]
+    )
+    def test_found_path_scaling(self, n, prune_steps):
+        inst = planted_instance(SplitMix64(42), n, 2 * n)
+        start = time.perf_counter()
+        allocation, stats = solve_wef_traced(inst)
+        elapsed = time.perf_counter() - start
+        assert is_wef_allocation(inst, allocation)
+        assert (stats.rounds, stats.prune_steps, stats.violators_removed) == (
+            1, prune_steps, 0
+        )
+        assert elapsed < 10.0
+
+
+@pytest.mark.skipif(not __debug__, reason="the invariant is an assert")
+class TestSharedFavouritesInvariant:
+    def test_shared_house_valued_by_two_weights(self):
+        inst = make_instance([1, 2], [[1, 0], [1, 0]])
+        graph = CandidateGraph(((0,), (0,)), 2)
+        with pytest.raises(AssertionError):
+            _check_shared_favourites(_Engine(inst), graph)
+
+    def test_empty_row(self, diagonal_pair):
+        graph = CandidateGraph(((0,), ()), 2)
+        with pytest.raises(AssertionError):
+            _check_shared_favourites(_Engine(diagonal_pair), graph)
 
 
 class TestAgainstOracle:

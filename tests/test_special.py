@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wefhouse.bipartite import max_weight_assignment
+from wefhouse.bipartite import max_weight_assignment, maximum_matching
 from wefhouse.envy import is_wefable, min_subsidy
 from wefhouse.errors import (
     InconsistentPartition,
@@ -17,6 +17,7 @@ from wefhouse.errors import (
 from wefhouse.model import Allocation, is_wef_outcome, make_instance
 from wefhouse.oracle import iter_allocations, oracle_wefable_exists
 from wefhouse.special import (
+    RepresentingGraph,
     TwoTypePartition,
     detect_two_types,
     enumerate_maximum_matchings,
@@ -222,6 +223,44 @@ def brute_force_maximum_matchings(neighbors):
     return set(best)
 
 
+def enumerate_maximum_matchings_recursive(graph, cap=None):
+    """The recursive search `enumerate_maximum_matchings` replaces."""
+    n = graph.n
+    target = sum(1 for h in maximum_matching(graph.neighbors, n) if h is not None)
+    remaining_cap = [cap if cap is not None else -1]
+
+    def residual(agent, used):
+        sub = [
+            tuple(h for h in graph.neighbors[a] if h not in used)
+            for a in range(agent, n)
+        ]
+        return sum(1 for h in maximum_matching(sub, n) if h is not None)
+
+    def extend(agent, used, chosen, matched):
+        if remaining_cap[0] == 0:
+            return
+        if agent == n:
+            yield tuple(chosen)
+            if remaining_cap[0] > 0:
+                remaining_cap[0] -= 1
+            return
+        for house in graph.neighbors[agent]:
+            if house in used:
+                continue
+            used.add(house)
+            chosen.append(house)
+            if matched + 1 + residual(agent + 1, used) >= target:
+                yield from extend(agent + 1, used, chosen, matched + 1)
+            chosen.pop()
+            used.remove(house)
+        chosen.append(None)
+        if matched + residual(agent + 1, used) >= target:
+            yield from extend(agent + 1, used, chosen, matched)
+        chosen.pop()
+
+    yield from extend(0, set(), [], 0)
+
+
 class TestEnumerateMaximumMatchings:
     def test_complete_two_by_two(self):
         inst = make_instance([1, 1], [[1, 1], [1, 1]])
@@ -251,6 +290,24 @@ class TestEnumerateMaximumMatchings:
             found = list(enumerate_maximum_matchings(graph))
             assert len(found) == len(set(found))
             assert set(found) == brute_force_maximum_matchings(graph.neighbors)
+
+    def test_same_order_as_recursive_search(self):
+        for inst in random_instances(
+            160, seed0=770, structure="bivalued", n_min=1, n_max=8, m_max=8
+        ):
+            graph = representing_graph(inst)
+            assert list(enumerate_maximum_matchings(graph)) == list(
+                enumerate_maximum_matchings_recursive(graph)
+            )
+            for cap in (0, 1, 3):
+                assert list(enumerate_maximum_matchings(graph, cap=cap)) == list(
+                    enumerate_maximum_matchings_recursive(graph, cap=cap)
+                )
+
+    def test_long_diagonal_needs_no_recursion(self):
+        n = 1500
+        graph = RepresentingGraph(tuple((i,) for i in range(n)), Fraction(0))
+        assert list(enumerate_maximum_matchings(graph, cap=1)) == [tuple(range(n))]
 
 
 class TestSolveBivalued:
