@@ -232,6 +232,17 @@ def _cmd_generate(args) -> int:
     return EXIT_FOUND
 
 
+def _non_negative_int(text: str) -> int:
+    """The type of the enumeration caps."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported like a negative value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error with exit code 1, like every other error."""
 
@@ -268,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *_SPECIAL_MODES],
         default="auto",
     )
-    spec.add_argument("--cap", type=int, default=100_000, help="bivalued candidate cap")
+    spec.add_argument("--cap", type=_non_negative_int, default=100_000, help="bivalued candidate cap")
     spec.set_defaults(func=_cmd_special)
 
     orc = sub.add_parser("oracle", help="brute-force reference queries for small instances")
     orc.add_argument("--input", required=True)
     orc.add_argument("--query", choices=["wef", "wefable"], required=True)
-    orc.add_argument("--cap", type=int, default=oracle.DEFAULT_ALLOCATION_CAP)
+    orc.add_argument("--cap", type=_non_negative_int, default=oracle.DEFAULT_ALLOCATION_CAP)
     orc.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("generate", help="write a deterministic random instance")

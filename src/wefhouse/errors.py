@@ -54,8 +54,11 @@ class NotWefable(WefHouseError):
     """
 
     def __init__(self, cycle):
-        super().__init__(f"positive envy cycle {cycle.nodes} of weight {cycle.weight}")
         self.cycle = cycle
+
+    def __str__(self):
+        # built on demand: a weight too long to print must not stop the raise
+        return f"positive envy cycle {self.cycle.nodes} of weight {self.cycle.weight}"
 
 
 # -- special-case solvers ---------------------------------------------------

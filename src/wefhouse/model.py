@@ -22,6 +22,7 @@ from .errors import (
     NegativeUtility,
     NonPositiveWeight,
     TooFewHouses,
+    WefHouseError,
 )
 
 
@@ -50,9 +51,12 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p" or "p/q"; the inverse of parse_rational."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # CPython's int_max_str_digits
+        raise WefHouseError(f"result too long to print: beyond the {MAX_EXPONENT}-digit print limit") from exc
 
 
 @dataclass(frozen=True)
@@ -279,9 +283,15 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(instance_to_data(inst), indent=2) + "\n"
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise MalformedInstance("JSON nested too deeply") from exc
+
+
 def parse_instance(text: str) -> Instance:
-    data = json.loads(text)
-    return validate_instance(data)
+    return validate_instance(_load_json(text))
 
 
 def serialize_allocation(allocation: Allocation) -> str:
@@ -289,7 +299,7 @@ def serialize_allocation(allocation: Allocation) -> str:
 
 
 def parse_allocation(text: str) -> Allocation:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MalformedInstance("allocation data must be an object with 'assignment'")
     assignment = data["assignment"]

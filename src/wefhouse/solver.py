@@ -64,7 +64,8 @@ def minimal_hall_violator(
     Starts from the lowest-index unmatched agent and alternates candidate
     edges (agent to house) with matching edges (house to owner).  Every
     reached house is matched, so the set has exactly one more agent than
-    neighbour and no violating proper subset.
+    neighbour and no violating proper subset.  The set is the closure under
+    these edges, so the order of the walk does not change it.
     """
     unmatched = [a for a, h in enumerate(matching) if h is None]
     if not unmatched:
@@ -72,19 +73,16 @@ def minimal_hall_violator(
     owner_of = {house: agent for agent, house in enumerate(matching) if house is not None}
     agents = {unmatched[0]}
     houses: set[int] = set()
-    frontier = [unmatched[0]]
-    while frontier:
-        next_frontier = []
-        for agent in frontier:
-            for house in graph.neighbors[agent]:
-                if house in houses:
-                    continue
-                houses.add(house)
-                owner = owner_of.get(house)
-                if owner is not None and owner not in agents:
-                    agents.add(owner)
-                    next_frontier.append(owner)
-        frontier = next_frontier
+    stack = [unmatched[0]]
+    while stack:
+        for house in graph.neighbors[stack.pop()]:
+            if house in houses:
+                continue
+            houses.add(house)
+            owner = owner_of.get(house)
+            if owner is not None and owner not in agents:
+                agents.add(owner)
+                stack.append(owner)
     assert len(agents) > len(houses)
     return HallViolator(frozenset(agents), frozenset(houses))
 
@@ -141,8 +139,9 @@ class _Engine:
     kept in one order by ascending weight, and each column has a cursor into
     that order at its lightest live owner; the pool only shrinks, so cursors
     only move forward.  A viewer's best value over the whole pool is the
-    best utility/min-weight ratio over columns, cached with the column that
-    attains it and recomputed lazily when that column's minimum changes.
+    best utility/min-weight ratio over columns, cached as the first column
+    attaining it (`witness`) and that column's minimum (`best_den`).  Minima
+    only rise, so the cache is exact while the two are still equal.
     """
 
     def __init__(self, inst: Instance):
@@ -156,68 +155,47 @@ class _Engine:
         self.cursor = [0] * m
         self.col_min: list[int | None] = [self.W[self.order[0]]] * m
         self.own_best: list[int | None] = [max(row) for row in self.U]
-        self.best_num = [0] * n
-        self.best_den = [1] * n
-        self.witness: list[int | None] = [None] * n
-        self.watchers: list[set[int]] = [set() for _ in range(m)]
-        self.stale = [False] * n
-        for viewer in range(n):
-            self._refresh(viewer)
+        self.witness = [0] * n
+        self.best_den = [0] * n  # equals no column minimum: scanned on first use
 
     def _refresh(self, viewer: int) -> None:
-        old = self.witness[viewer]
-        if old is not None:
-            self.watchers[old].discard(viewer)
+        # the pool is non-empty, so some column has a minimum
         row = self.U[viewer]
-        best_num, best_den, best_house = -1, 1, None
+        best, best_den, best_house = -1, 1, 0
         for house in range(self.m):
             den = self.col_min[house]
-            if den is None:
-                continue
-            num = row[house]
-            if num * best_den > best_num * den:
-                best_num, best_den, best_house = num, den, house
+            if den is not None and row[house] * best_den > best * den:
+                best, best_den, best_house = row[house], den, house
         self.witness[viewer] = best_house
-        if best_house is not None:
-            self.best_num[viewer] = best_num
-            self.best_den[viewer] = best_den
-            self.watchers[best_house].add(viewer)
-        self.stale[viewer] = False
-
-    def _triggered(self, viewer: int) -> bool:
-        # caller guarantees freshness; witness None only when the pool is empty
-        if self.witness[viewer] is None:
-            return False
-        own = self.own_best[viewer]
-        if own is None:
-            return True
-        return own * self.best_den[viewer] < self.best_num[viewer] * self.W[viewer]
+        self.best_den[viewer] = best_den
 
     def first_triggered(self) -> int | None:
         if self.live == 0:
             return None
         for viewer in range(self.n):
-            if self.stale[viewer]:
+            if self.col_min[self.witness[viewer]] != self.best_den[viewer]:
                 self._refresh(viewer)
-            if self._triggered(viewer):
+            own = self.own_best[viewer]
+            best = self.U[viewer][self.witness[viewer]]
+            if own is None or own * self.best_den[viewer] < best * self.W[viewer]:
                 return viewer
         return None
 
     def top_pairs(self, viewer: int) -> list[tuple[int, int]]:
         """The viewer's full argmax group; requires a fresh cache."""
-        best_num, best_den = self.best_num[viewer], self.best_den[viewer]
+        row = self.U[viewer]
+        best, best_den = row[self.witness[viewer]], self.best_den[viewer]
         pairs = []
-        if best_num == 0:
+        if best == 0:
             # every live assignment is worth 0 to this viewer
             for agent in range(self.n):
                 for house in self.rows[agent]:
                     pairs.append((agent, house))
             return pairs
-        row = self.U[viewer]
         order, rows, W = self.order, self.rows, self.W
         for house in range(self.m):
             den = self.col_min[house]
-            if den is not None and row[house] * best_den == best_num * den:
+            if den is not None and row[house] * best_den == best * den:
                 for k in range(self.cursor[house], self.n):
                     agent = order[k]
                     if W[agent] != den:
@@ -240,11 +218,7 @@ class _Engine:
             while k < self.n and house not in self.rows[self.order[k]]:
                 k += 1
             self.cursor[house] = k
-            den = self.W[self.order[k]] if k < self.n else None
-            if den != self.col_min[house]:
-                self.col_min[house] = den
-                for viewer in self.watchers[house]:
-                    self.stale[viewer] = True
+            self.col_min[house] = self.W[self.order[k]] if k < self.n else None
 
     def prune(self, stats: SolveStats) -> None:
         while True:

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,17 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_deep_nesting_exit_one(self, write_files):
+        path = write_files("deep.json", "[" * 100_000 + "]" * 100_000)
+        result = subprocess.run(
+            [sys.executable, "-m", "wefhouse", "solve", "--input", path],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: JSON nested too deeply\n"
+
     def test_exponent_past_cap_exit_one(self, capsys, write_files):
         path = write_files("big.json", '{"weights": ["1e4301"], "utilities": [["1"]]}')
         code, out, err = run_cli(capsys, "solve", "--input", path)
@@ -119,8 +132,13 @@ class TestUsageErrors:
             ["solve"],
             ["solve", "--input", "instance.json", "--bogus"],
             ["special", "--input", "instance.json", "--format", "json"],
+            ["special", "--input", "instance.json", "--mode", "bivalued", "--cap", "-1"],
+            ["oracle", "--input", "instance.json", "--query", "wef", "--cap", "-1"],
         ],
-        ids=["missing-required-flag", "unknown-flag", "removed-format-flag"],
+        ids=[
+            "missing-required-flag", "unknown-flag", "removed-format-flag",
+            "negative-special-cap", "negative-oracle-cap",
+        ],
     )
     def test_exit_one_without_report(self, capsys, argv):
         with pytest.raises(SystemExit) as caught:
@@ -171,6 +189,19 @@ class TestCheckWefable:
     @pytest.mark.parametrize("wefable", [True, False])
     def test_report_matches_library(self, capsys, write_files, wefable):
         assert_reports_match_library(capsys, write_files, "check-wefable", wefable)
+
+
+@pytest.mark.parametrize("command", ["check-wefable", "subsidy"])
+def test_result_too_long_to_print_exit_one(capsys, write_files, command):
+    text = '{"weights": ["1", "1e4300"], "utilities": [[1, 0], [0, 1]]}'
+    code, out, err = run_cli(
+        capsys, command,
+        "--input", write_files("instance.json", text),
+        "--allocation", allocation_file(write_files, [1, 0]),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: result too long to print: beyond the 4300-digit print limit\n"
 
 
 class TestSubsidy:

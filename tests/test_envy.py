@@ -204,6 +204,12 @@ class TestMinSubsidy:
         assert caught.value.cycle == PositiveCycle((0, 1, 0), Fraction(1, 4))
         assert str(caught.value) == "positive envy cycle (0, 1, 0) of weight 1/4"
 
+    def test_not_wefable_with_unprintable_weight(self):
+        inst = make_instance(["1", "1e4300"], [[1, 0], [0, 1]])
+        with pytest.raises(NotWefable) as caught:
+            min_subsidy(inst, Allocation((1, 0)))
+        assert caught.value.cycle.weight == 1 + Fraction(1, 10**4300)
+
     def test_soundness_and_minimality_on_sweep(self):
         probe = Fraction(1, 1000)
         for inst in random_instances(60, seed0=2500):

@@ -12,6 +12,7 @@ from wefhouse.errors import (
     NegativeUtility,
     NonPositiveWeight,
     TooFewHouses,
+    WefHouseError,
 )
 from wefhouse.model import (
     Allocation,
@@ -21,6 +22,7 @@ from wefhouse.model import (
     is_wef_allocation,
     is_wef_outcome,
     make_instance,
+    parse_allocation,
     parse_instance,
     parse_rational,
     scaled_integers,
@@ -212,6 +214,16 @@ class TestSerialization:
     def test_integers_accepted_on_input(self):
         inst = parse_instance('{"weights": [2], "utilities": [[3, 4]]}')
         assert inst.weights == (Fraction(2),)
+
+    @pytest.mark.parametrize("parse", [parse_instance, parse_allocation])
+    def test_deep_nesting_is_malformed(self, parse):
+        with pytest.raises(MalformedInstance, match="nested too deeply"):
+            parse("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("value", [Fraction(10**4300), Fraction(1, 10**4300)])
+    def test_too_long_to_print(self, value):
+        with pytest.raises(WefHouseError, match="4300-digit print limit"):
+            format_rational(value)
 
 
 class TestScaleInvariance:

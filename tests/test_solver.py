@@ -325,3 +325,42 @@ class TestAgainstOracle:
                     assert all(
                         allocation[i] in rows[i] for i in range(inst.n)
                     )
+
+
+def _scanned_best(engine, viewer):
+    """The viewer's first best (house, column minimum), scanned afresh."""
+    ratios = {
+        h: Fraction(engine.U[viewer][h], den)
+        for h, den in enumerate(engine.col_min)
+        if den is not None
+    }
+    house = max(ratios, key=ratios.__getitem__)
+    return house, engine.col_min[house]
+
+
+class TestCacheRule:
+    """A viewer's cached best is trusted while its witness column's minimum
+    still equals the stored one; it must then equal a fresh scan."""
+
+    def test_trusted_cache_equals_scan(self):
+        instances = random_instances(40, seed0=9100, n_max=6, m_max=8, weights="uniform:1:6")
+        instances.append(planted_instance(SplitMix64(7), 60, 120))
+        steps = 0
+        for inst in instances:
+            engine = _Engine(inst)
+            while engine.live >= inst.n:
+                viewer = engine.first_triggered()
+                for v in range(inst.n):
+                    if engine.col_min[engine.witness[v]] == engine.best_den[v]:
+                        assert (engine.witness[v], engine.best_den[v]) == _scanned_best(engine, v)
+                if viewer is not None:
+                    engine.remove_pairs(engine.top_pairs(viewer))
+                    steps += 1
+                    continue
+                graph = CandidateGraph(engine.candidate_rows(), inst.m)
+                allocation, matching = n_saturating_matching(graph)
+                if allocation is not None:
+                    break
+                violator = minimal_hall_violator(graph, matching)
+                engine.remove_pairs([(a, h) for a in violator.agents for h in graph.neighbors[a]])
+        assert steps > 100
