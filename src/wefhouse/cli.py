@@ -1,9 +1,13 @@
 """Command-line front end.
 
+The commands that read an instance (solve, check-wefable, subsidy, special,
+oracle) print one JSON object on standard output: ``command``, the command's
+own fields, then ``timing_seconds``.  The input files are read and parsed
+before the clock starts, so ``timing_seconds`` times only the library call.
 Exit codes are stable across commands: 0 when the requested object was
 found (or the check passed), 2 when it provably does not exist, 3 when an
-enumeration cap was exceeded, and 1 on any error.  Reports are JSON on
-standard output; diagnostics go to standard error.
+enumeration cap was exceeded, and 1 on any error, which prints one line to
+standard error and no report.
 """
 from __future__ import annotations
 
@@ -31,82 +35,33 @@ EXIT_NOT_FOUND = 2
 EXIT_CAP = 3
 
 
-def _read_instance(path: str) -> Instance:
+def _read(path: str, parse):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
-
-
-def _read_allocation(path: str) -> Allocation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_allocation(fh.read())
+        return parse(fh.read())
 
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _subsidy_strings(payments) -> list[str]:
-    return [format_rational(p) for p in payments]
-
-
 def _assignment(allocation: Allocation) -> dict:
     return {"assignment": list(allocation.assignment)}
 
 
-def _cmd_solve(args) -> int:
-    inst = _read_instance(args.input)
+def _run(args) -> int:
+    """Parse the inputs (args.allocation becomes an Allocation), time args.run, print the report."""
+    inst = _read(args.input, parse_instance)
+    if "allocation" in args:
+        args.allocation = _read(args.allocation, parse_allocation)
     started = time.perf_counter()
-    allocation, stats = solve_wef_traced(inst)
+    fields, code = args.run(inst, args)
     elapsed = time.perf_counter() - started
-    report = {
-        "command": "solve",
-        "decision": "found" if allocation is not None else "not-found",
-        "timing_seconds": elapsed,
-        "counters": {
-            "prune_steps": stats.prune_steps,
-            "violators_removed": stats.violators_removed,
-        },
-    }
-    if allocation is not None:
-        report["allocation"] = _assignment(allocation)
-    _emit(report)
-    return EXIT_FOUND if allocation is not None else EXIT_NOT_FOUND
-
-
-def _cmd_wefable(args) -> int:
-    """check-wefable and subsidy: one report, under the command's name."""
-    inst = _read_instance(args.input)
-    allocation = _read_allocation(args.allocation)
-    started = time.perf_counter()
-    try:
-        payments = envy.min_subsidy(inst, allocation).payments
-    except NotWefable as exc:
-        verdict = {
-            "decision": "not-found",
-            "wefable": False,
-            "witness_cycle": {
-                "nodes": list(exc.cycle.nodes),
-                "weight": format_rational(exc.cycle.weight),
-            },
-        }
-        code = EXIT_NOT_FOUND
-    else:
-        verdict = {"decision": "found", "wefable": True, "subsidy": _subsidy_strings(payments)}
-        code = EXIT_FOUND
-    _emit(
-        {
-            "command": args.command,
-            "allocation": _assignment(allocation),
-            "timing_seconds": time.perf_counter() - started,
-            **verdict,
-        }
-    )
+    _emit({"command": args.command, **fields, "timing_seconds": elapsed})
     return code
 
 
-# -- special families ----------------------------------------------------------
-# Each runner returns (report fields, exit code) and raises ModeMismatch when
-# the instance lies outside its family.
+# -- instance commands ---------------------------------------------------------
+# Each returns (report fields, exit code); _run does the rest.
 
 def _decision(allocation: Allocation | None) -> tuple[dict, int]:
     if allocation is None:
@@ -114,10 +69,45 @@ def _decision(allocation: Allocation | None) -> tuple[dict, int]:
     return {"decision": "found", "allocation": _assignment(allocation)}, EXIT_FOUND
 
 
+def _solve(inst: Instance, args) -> tuple[dict, int]:
+    allocation, stats = solve_wef_traced(inst)
+    fields, code = _decision(allocation)
+    fields["counters"] = {
+        "prune_steps": stats.prune_steps,
+        "violators_removed": stats.violators_removed,
+    }
+    return fields, code
+
+
+def _wefable(inst: Instance, args) -> tuple[dict, int]:
+    """check-wefable and subsidy: one report, under the command's name."""
+    fields = {"allocation": _assignment(args.allocation)}
+    try:
+        payments = envy.min_subsidy(inst, args.allocation).payments
+    except NotWefable as exc:
+        cycle = {"nodes": list(exc.cycle.nodes), "weight": format_rational(exc.cycle.weight)}
+        fields.update(decision="not-found", wefable=False, witness_cycle=cycle)
+        return fields, EXIT_NOT_FOUND
+    fields.update(decision="found", wefable=True, subsidy=[format_rational(p) for p in payments])
+    return fields, EXIT_FOUND
+
+
+def _oracle(inst: Instance, args) -> tuple[dict, int]:
+    if args.query == "wef":
+        found = oracle.oracle_wef_exists(inst, cap=args.cap)
+    else:
+        found = oracle.oracle_wefable_exists(inst, allocation_cap=args.cap)
+    fields, code = _decision(found)
+    return {"query": args.query, **fields}, code
+
+
+# -- special families ----------------------------------------------------------
+# Each runner also raises ModeMismatch when the instance lies outside its family.
+
 def _run_identical(inst: Instance, args) -> tuple[dict, int]:
     outcome = special.solve_identical(inst)
     fields, code = _decision(outcome.allocation)
-    fields["subsidy"] = _subsidy_strings(outcome.subsidy.payments)
+    fields["subsidy"] = [format_rational(p) for p in outcome.subsidy.payments]
     return fields, code
 
 
@@ -130,17 +120,14 @@ def _run_two_type(inst: Instance, args) -> tuple[dict, int]:
 
 def _run_bivalued(inst: Instance, args) -> tuple[dict, int]:
     result = special.solve_bivalued(inst, candidate_cap=args.cap)
-    fields = {
-        "decision": result.status,
-        "counters": {
-            "candidates_checked": result.candidates_checked,
-            "matchings_checked": result.matchings_checked,
-        },
+    fields, code = _decision(result.allocation)
+    if result.status == "inconclusive":
+        fields, code = {"decision": "inconclusive"}, EXIT_CAP
+    fields["counters"] = {
+        "candidates_checked": result.candidates_checked,
+        "matchings_checked": result.matchings_checked,
     }
-    if result.allocation is not None:
-        fields["allocation"] = _assignment(result.allocation)
-    code = {"found": EXIT_FOUND, "not-found": EXIT_NOT_FOUND, "inconclusive": EXIT_CAP}
-    return fields, code[result.status]
+    return fields, code
 
 
 def _run_normalized(inst: Instance, args) -> tuple[dict, int]:
@@ -156,49 +143,17 @@ _SPECIAL_MODES = {
 }
 
 
-def _run_special(inst: Instance, args) -> tuple[str, dict, int]:
-    if args.mode != "auto":
-        return args.mode, *_SPECIAL_MODES[args.mode](inst, args)
-    for mode, run in _SPECIAL_MODES.items():
+def _special(inst: Instance, args) -> tuple[dict, int]:
+    """The first mode that fits; an explicit mode is the only one tried."""
+    modes = _SPECIAL_MODES if args.mode == "auto" else {args.mode: _SPECIAL_MODES[args.mode]}
+    for mode, run in modes.items():
         try:
-            return mode, *run(inst, args)
+            fields, code = run(inst, args)
+            return {"mode": mode, **fields}, code
         except ModeMismatch:
-            pass
+            if len(modes) == 1:
+                raise
     raise ModeMismatch("instance fits no special family (identical, two-type, bivalued, normalized)")
-
-
-def _cmd_special(args) -> int:
-    inst = _read_instance(args.input)
-    started = time.perf_counter()
-    mode, fields, code = _run_special(inst, args)
-    _emit(
-        {
-            "command": "special",
-            "mode": mode,
-            **fields,
-            "timing_seconds": time.perf_counter() - started,
-        }
-    )
-    return code
-
-
-def _cmd_oracle(args) -> int:
-    inst = _read_instance(args.input)
-    started = time.perf_counter()
-    if args.query == "wef":
-        found = oracle.oracle_wef_exists(inst, cap=args.cap)
-    else:
-        found = oracle.oracle_wefable_exists(inst, allocation_cap=args.cap)
-    report = {
-        "command": "oracle",
-        "query": args.query,
-        "decision": "found" if found is not None else "not-found",
-        "timing_seconds": time.perf_counter() - started,
-    }
-    if found is not None:
-        report["allocation"] = _assignment(found)
-    _emit(report)
-    return EXIT_FOUND if found is not None else EXIT_NOT_FOUND
 
 
 def _cmd_generate(args) -> int:
@@ -258,43 +213,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="decide and compute a weighted envy-free allocation")
-    solve.add_argument("--input", required=True, help="instance JSON file")
-    solve.set_defaults(func=_cmd_solve)
+    def instance_command(name, run, text):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--input", required=True, help="instance JSON file")
+        cmd.set_defaults(func=_run, run=run)
+        return cmd
 
-    check = sub.add_parser("check-wefable", help="check whether an allocation can be subsidised into envy-freeness")
-    check.add_argument("--input", required=True)
-    check.add_argument("--allocation", required=True, help="allocation JSON file")
-    check.set_defaults(func=_cmd_wefable)
+    instance_command("solve", _solve, "decide and compute a weighted envy-free allocation")
+    for name, text in (
+        ("check-wefable", "check whether an allocation can be subsidised into envy-freeness"),
+        ("subsidy", "minimum envy-eliminating payments for an allocation"),
+    ):
+        cmd = instance_command(name, _wefable, text)
+        cmd.add_argument("--allocation", required=True, help="allocation JSON file")
 
-    subsidy = sub.add_parser("subsidy", help="minimum envy-eliminating payments for an allocation")
-    subsidy.add_argument("--input", required=True)
-    subsidy.add_argument("--allocation", required=True)
-    subsidy.set_defaults(func=_cmd_wefable)
-
-    spec = sub.add_parser("special", help="special-case solvers (identical, two-type, bivalued, normalized)")
-    spec.add_argument("--input", required=True)
+    spec = instance_command(
+        "special", _special, "special-case solvers (identical, two-type, bivalued, normalized)"
+    )
     spec.add_argument(
-        "--mode",
-        choices=["auto", *_SPECIAL_MODES],
-        default="auto",
+        "--mode", choices=["auto", *_SPECIAL_MODES], default="auto",
+        help="auto tries the families in the order listed and reports the first that fits",
     )
     spec.add_argument("--cap", type=_non_negative_int, default=100_000, help="bivalued candidate cap")
-    spec.set_defaults(func=_cmd_special)
 
-    orc = sub.add_parser("oracle", help="brute-force reference queries for small instances")
-    orc.add_argument("--input", required=True)
-    orc.add_argument("--query", choices=["wef", "wefable"], required=True)
-    orc.add_argument("--cap", type=_non_negative_int, default=oracle.DEFAULT_ALLOCATION_CAP)
-    orc.set_defaults(func=_cmd_oracle)
+    orc = instance_command("oracle", _oracle, "brute-force reference queries for small instances")
+    orc.add_argument(
+        "--query", choices=["wef", "wefable"], required=True,
+        help="wef: a weighted envy-free allocation; wefable: one that subsidies make envy-free",
+    )
+    orc.add_argument(
+        "--cap", type=_non_negative_int, default=oracle.DEFAULT_ALLOCATION_CAP,
+        help=(
+            "most allocations to enumerate (default %(default)s); --query wefable also stops "
+            f"past 7 agents, at its fixed cap of {oracle.DEFAULT_PERMUTATION_CAP} permutations, "
+            "which --cap does not lift"
+        ),
+    )
 
     gen = sub.add_parser("generate", help="write a deterministic random instance")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int, default=None, help="defaults to n")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--weights", default="uniform:1:5")
-    gen.add_argument("--utilities", default="uniform:0:10")
-    gen.add_argument("--structure", choices=list(generator.STRUCTURES), default="general")
+    gen.add_argument("--n", type=int, required=True, help="number of agents")
+    gen.add_argument("--m", type=int, default=None, help="number of houses; defaults to n")
+    gen.add_argument("--seed", type=int, default=0, help="splitmix64 seed")
+    gen.add_argument("--weights", default="uniform:1:5", help="weight range, uniform:LO:HI")
+    gen.add_argument("--utilities", default="uniform:0:10", help="utility range, uniform:LO:HI")
+    gen.add_argument(
+        "--structure", choices=list(generator.STRUCTURES), default="general", help="instance family"
+    )
     gen.add_argument("--epsilon", default="0", help="low value for bivalued instances")
     gen.add_argument("--output", default=None, help="instance file path; stdout when omitted")
     gen.set_defaults(func=_cmd_generate)

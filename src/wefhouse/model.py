@@ -161,6 +161,11 @@ class Outcome:
             )
 
 
+def _is_list(value) -> bool:
+    """A sequence of items; strings and bytes are read as scalars, not lists."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+
+
 def make_instance(
     weights: Sequence,
     utilities: Sequence[Sequence],
@@ -168,6 +173,13 @@ def make_instance(
     house_labels: Sequence[str] | None = None,
 ) -> Instance:
     """Build and validate an Instance from loosely typed values."""
+    if not _is_list(weights):
+        raise MalformedInstance("'weights' must be a list")
+    if not _is_list(utilities) or not all(_is_list(row) for row in utilities):
+        raise MalformedInstance("'utilities' must be a list of lists")
+    for field, value in (("agent_labels", agent_labels), ("house_labels", house_labels)):
+        if value is not None and not _is_list(value):
+            raise MalformedInstance(f"{field!r} must be a list")
     parsed_weights = tuple(parse_rational(w) for w in weights)
     n = len(parsed_weights)
     if n == 0:
@@ -203,10 +215,6 @@ def make_instance(
     return Instance(parsed_weights, rows, agent_labels, house_labels)
 
 
-def _is_list(value) -> bool:
-    return isinstance(value, Sequence) and not isinstance(value, str)
-
-
 def validate_instance(raw: Mapping) -> Instance:
     """Validate dict-shaped instance data (typically parsed JSON)."""
     if not isinstance(raw, Mapping):
@@ -216,15 +224,7 @@ def validate_instance(raw: Mapping) -> Instance:
         utilities = raw["utilities"]
     except KeyError as exc:
         raise MalformedInstance(f"missing field {exc.args[0]!r}") from exc
-    if not _is_list(weights):
-        raise MalformedInstance("'weights' must be a list")
-    if not _is_list(utilities) or not all(_is_list(row) for row in utilities):
-        raise MalformedInstance("'utilities' must be a list of lists")
-    labels = {field: raw.get(field) for field in ("agent_labels", "house_labels")}
-    for field, value in labels.items():
-        if value is not None and not _is_list(value):
-            raise MalformedInstance(f"{field!r} must be a list")
-    return make_instance(weights, utilities, **labels)
+    return make_instance(weights, utilities, raw.get("agent_labels"), raw.get("house_labels"))
 
 
 def check_allocation(inst: Instance, allocation: Allocation) -> None:
@@ -279,7 +279,13 @@ def instance_to_data(inst: Instance) -> dict:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON text; parse_instance is its inverse."""
+    """Canonical JSON text; parse_instance is its inverse.
+
+    Numbers are printed in full, so an instance holding a numerator or
+    denominator of more than 4300 digits (Python's int_max_str_digits)
+    cannot be written: the parser accepts one as a decimal such as
+    "1e4300", but serialising it raises the print-limit WefHouseError.
+    """
     return json.dumps(instance_to_data(inst), indent=2) + "\n"
 
 

@@ -437,3 +437,56 @@ class TestReportsRoundTrip:
             if code == 0:
                 allocation = parse_allocation(json.dumps(report["allocation"]))
                 assert len(allocation) == inst.n
+
+
+# -- the report contract shared by every instance command ------------------------
+
+EXIT_BY_DECISION = {"found": 0, "not-found": 2, "inconclusive": 3}
+CONTRACT_FIXTURES = [
+    "flat_pair", "hard_triple", "identical_pair", "two_type_pair",
+    "diagonal_pair", "shared_favorite_pair", "flat_identical_pair",
+]
+CONTRACT_COMMANDS = [
+    ("solve",),
+    ("check-wefable", "--allocation"),
+    ("subsidy", "--allocation"),
+    ("special",),
+    ("oracle", "--query", "wef"),
+    ("oracle", "--query", "wefable"),
+]
+CONTRACT_CASES = [
+    (argv, fixture)
+    for argv in CONTRACT_COMMANDS
+    for fixture in CONTRACT_FIXTURES
+    # the three distinct agents of hard_triple fit no special family
+    if (argv[0], fixture) != ("special", "hard_triple")
+] + [(("special", "--mode", "bivalued", "--cap", "0"), "shared_favorite_pair")]
+
+
+def run_contract_case(request, capsys, write_files, argv, fixture):
+    inst = request.getfixturevalue(fixture)
+    command, *options = argv
+    if options == ["--allocation"]:
+        options = ["--allocation", allocation_file(write_files, range(inst.n))]
+    return run_cli(capsys, command, "--input", instance_file(write_files, inst), *options)
+
+
+@pytest.mark.parametrize(
+    "argv,fixture", CONTRACT_CASES, ids=[" ".join((*argv, fixture)) for argv, fixture in CONTRACT_CASES]
+)
+def test_report_contract(request, capsys, write_files, argv, fixture):
+    code, out, err = run_contract_case(request, capsys, write_files, argv, fixture)
+    report = json.loads(out)
+    assert err == ""
+    assert list(report)[0] == "command" and report["command"] == argv[0]
+    assert list(report)[-1] == "timing_seconds"
+    assert isinstance(report["timing_seconds"], float) and report["timing_seconds"] >= 0
+    assert code == EXIT_BY_DECISION[report["decision"]]
+
+
+def test_report_contract_covers_every_decision(request, capsys, write_files):
+    decisions = {
+        json.loads(run_contract_case(request, capsys, write_files, *case)[1])["decision"]
+        for case in CONTRACT_CASES
+    }
+    assert decisions == set(EXIT_BY_DECISION)

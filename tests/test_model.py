@@ -129,6 +129,39 @@ class TestValidateInstance:
             validate_instance(raw)
 
 
+class TestMakeInstanceShapes:
+    """Strings and bytes are scalars, never lists of characters or byte values."""
+
+    @pytest.mark.parametrize(
+        "weights,utilities,message",
+        [
+            ([1], ["12"], "'utilities' must be a list of lists"),
+            ("12", [[1, 2], [3, 4]], "'weights' must be a list"),
+            ([1], [b"12"], "'utilities' must be a list of lists"),
+            (b"12", [[1, 2], [3, 4]], "'weights' must be a list"),
+            ([1], "12", "'utilities' must be a list of lists"),
+        ],
+        ids=["str-row", "str-weights", "bytes-row", "bytes-weights", "str-utilities"],
+    )
+    def test_string_or_bytes_is_not_a_list(self, weights, utilities, message):
+        with pytest.raises(MalformedInstance, match=message):
+            make_instance(weights, utilities)
+
+    @pytest.mark.parametrize("field", ["agent_labels", "house_labels"])
+    @pytest.mark.parametrize("labels", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_labels_string_or_bytes_is_not_a_list(self, field, labels):
+        with pytest.raises(MalformedInstance, match=f"'{field}' must be a list"):
+            make_instance([1, 1], [[1, 2], [2, 1]], **{field: labels})
+
+    def test_bytes_rows_rejected_through_validate(self):
+        with pytest.raises(MalformedInstance, match="'utilities' must be a list of lists"):
+            validate_instance({"weights": [1], "utilities": [b"12"]})
+
+    def test_tuples_still_accepted(self):
+        inst = make_instance((1, 2), ((1, 2), (3, 4)), ("x", "y"), ("p", "q"))
+        assert inst.agent_labels == ("x", "y") and inst.house_labels == ("p", "q")
+
+
 class TestContainers:
     def test_allocation_rejects_repeats(self):
         with pytest.raises(InvalidAllocation):
@@ -219,6 +252,13 @@ class TestSerialization:
     def test_deep_nesting_is_malformed(self, parse):
         with pytest.raises(MalformedInstance, match="nested too deeply"):
             parse("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("weight", ["1e4300", "1e-4300"])
+    def test_accepted_instance_past_print_limit_not_serialised(self, weight):
+        # the parser accepts exponents up to 4300, but 10**4300 has 4301 digits
+        inst = make_instance(["1", weight], [[1, 0], [0, 1]])
+        with pytest.raises(WefHouseError, match="4300-digit print limit"):
+            serialize_instance(inst)
 
     @pytest.mark.parametrize("value", [Fraction(10**4300), Fraction(1, 10**4300)])
     def test_too_long_to_print(self, value):
