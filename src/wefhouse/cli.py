@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=_non_negative_int, default=oracle.DEFAULT_ALLOCATION_CAP,
         help=(
             "most allocations to enumerate (default %(default)s); --query wefable also stops "
-            f"past 7 agents, at its fixed cap of {oracle.DEFAULT_PERMUTATION_CAP} permutations, "
+            f"past 7 agents, at its fixed cap of {oracle.PERMUTATION_CAP} permutations, "
             "which --cap does not lift"
         ),
     )

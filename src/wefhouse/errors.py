@@ -57,8 +57,9 @@ class NotWefable(WefHouseError):
         self.cycle = cycle
 
     def __str__(self):
-        # built on demand: a weight too long to print must not stop the raise
-        return f"positive envy cycle {self.cycle.nodes} of weight {self.cycle.weight}"
+        from .model import shown  # model imports this module
+
+        return f"positive envy cycle {self.cycle.nodes} of weight {shown(self.cycle.weight)}"
 
 
 # -- special-case solvers ---------------------------------------------------

@@ -37,7 +37,9 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
+    # Fraction reads "_" digit groups from 3.11 on and spaces around "/" from
+    # 3.12 on: rejecting both keeps 3.10's grammar on every version
+    if isinstance(value, str) and "_" not in value and len(value.split()) == 1:
         text = value.strip()
         exponent = text.lower().partition("e")[2] if "e" in text or "E" in text else ""
         try:
@@ -57,6 +59,18 @@ def format_rational(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:  # CPython's int_max_str_digits
         raise WefHouseError(f"result too long to print: beyond the {MAX_EXPONENT}-digit print limit") from exc
+
+
+def shown(value) -> str:
+    """A value as error messages show it, never raising.
+
+    A Fraction reads as format_rational writes it, anything else as its
+    repr, and a number too long to print as a note saying so.
+    """
+    try:
+        return str(value) if isinstance(value, Fraction) else repr(value)
+    except ValueError:  # CPython's int_max_str_digits
+        return f"<a number past the {MAX_EXPONENT}-digit print limit>"
 
 
 @dataclass(frozen=True)
@@ -114,9 +128,9 @@ class Allocation:
     def __post_init__(self):
         for house in self.assignment:
             if isinstance(house, bool) or not isinstance(house, int) or house < 0:
-                raise InvalidAllocation(f"house index must be a non-negative int: {house!r}")
+                raise InvalidAllocation(f"house index must be a non-negative int: {shown(house)}")
         if len(set(self.assignment)) != len(self.assignment):
-            raise InvalidAllocation(f"repeated house in assignment {self.assignment}")
+            raise InvalidAllocation(f"repeated house in assignment {shown(self.assignment)}")
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -134,7 +148,7 @@ class SubsidyVector:
     def __post_init__(self):
         for p in self.payments:
             if p < 0:
-                raise NegativeSubsidy(f"negative payment {p}")
+                raise NegativeSubsidy(f"negative payment {shown(p)}")
 
     def __len__(self) -> int:
         return len(self.payments)
@@ -195,11 +209,11 @@ def make_instance(
         raise TooFewHouses(f"{m} houses for {n} agents")
     for i, w in enumerate(parsed_weights):
         if w <= 0:
-            raise NonPositiveWeight(f"agent {i} has weight {w}")
+            raise NonPositiveWeight(f"agent {i} has weight {shown(w)}")
     for i, row in enumerate(rows):
         for h, v in enumerate(row):
             if v < 0:
-                raise NegativeUtility(f"agent {i} values house {h} at {v}")
+                raise NegativeUtility(f"agent {i} values house {h} at {shown(v)}")
     if agent_labels is None:
         agent_labels = tuple(f"a{i + 1}" for i in range(n))
     else:
@@ -235,7 +249,7 @@ def check_allocation(inst: Instance, allocation: Allocation) -> None:
         )
     for house in allocation.assignment:
         if house >= inst.m:
-            raise InvalidAllocation(f"house index {house} out of range for m={inst.m}")
+            raise InvalidAllocation(f"house index {shown(house)} out of range for m={inst.m}")
 
 
 def is_wef_allocation(inst: Instance, allocation: Allocation) -> bool:

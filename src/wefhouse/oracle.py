@@ -24,7 +24,7 @@ from .model import (
 )
 
 DEFAULT_ALLOCATION_CAP = 50_000
-DEFAULT_PERMUTATION_CAP = 5_040
+PERMUTATION_CAP = 5_040
 
 
 def count_allocations(n: int, m: int) -> int:
@@ -54,17 +54,17 @@ def oracle_wef_exists(
     return None
 
 
-def oracle_permutation_resistant(
-    inst: Instance, allocation: Allocation, cap: int = DEFAULT_PERMUTATION_CAP
-) -> bool:
+def oracle_permutation_resistant(inst: Instance, allocation: Allocation) -> bool:
     """Check all n! reshuffles of the allocated houses.
 
     True when no permutation of who-gets-which-allocated-house raises the
-    total of utilities scaled by the receiving agent's weight.
+    total of utilities scaled by the receiving agent's weight.  Past
+    PERMUTATION_CAP (7! = 5040) reshuffles, that is past 7 agents, it
+    raises CapExceeded instead.
     """
     total = factorial(inst.n)
-    if total > cap:
-        raise CapExceeded(f"{total} permutations exceed the cap of {cap}")
+    if total > PERMUTATION_CAP:
+        raise CapExceeded(f"{total} permutations exceed the cap of {PERMUTATION_CAP}")
     check_allocation(inst, allocation)
     ratio = [
         [inst.utilities[i][allocation[j]] / inst.weights[j] for j in range(inst.n)]
@@ -78,20 +78,19 @@ def oracle_permutation_resistant(
 
 
 def oracle_wefable_exists(
-    inst: Instance,
-    allocation_cap: int = DEFAULT_ALLOCATION_CAP,
-    permutation_cap: int = DEFAULT_PERMUTATION_CAP,
+    inst: Instance, allocation_cap: int = DEFAULT_ALLOCATION_CAP
 ) -> Allocation | None:
-    """First allocation that survives the factorial permutation check, else None."""
+    """First allocation that survives the factorial permutation check, else None.
+
+    Raises CapExceeded past `allocation_cap` allocations, and past the fixed
+    PERMUTATION_CAP (5040) permutations per allocation, which the check of
+    the first allocation meets before it compares any.
+    """
     total = count_allocations(inst.n, inst.m)
     if total > allocation_cap:
         raise CapExceeded(f"{total} allocations exceed the cap of {allocation_cap}")
-    if factorial(inst.n) > permutation_cap:
-        raise CapExceeded(
-            f"{factorial(inst.n)} permutations exceed the cap of {permutation_cap}"
-        )
     for allocation in iter_allocations(inst.n, inst.m):
-        if oracle_permutation_resistant(inst, allocation, cap=permutation_cap):
+        if oracle_permutation_resistant(inst, allocation):
             return allocation
     return None
 

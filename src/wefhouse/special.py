@@ -24,7 +24,7 @@ from .errors import (
     NotUnweighted,
     SearchFailed,
 )
-from .model import Allocation, Instance, Outcome, SubsidyVector, format_rational, scaled_integers
+from .model import Allocation, Instance, Outcome, SubsidyVector, scaled_integers, shown
 
 
 def solve_identical(inst: Instance) -> Outcome:
@@ -67,14 +67,6 @@ class TwoTypePartition:
     small_weight: Fraction
     large_values: tuple[Fraction, ...]
     small_values: tuple[Fraction, ...]
-
-    @property
-    def n_large(self) -> int:
-        return len(self.large_agents)
-
-    @property
-    def n_small(self) -> int:
-        return len(self.small_agents)
 
     def swapped(self) -> "TwoTypePartition":
         return TwoTypePartition(
@@ -132,12 +124,12 @@ def solve_two_types(inst: Instance, part: TwoTypePartition) -> Allocation | None
     instance can be made weighted envy-free by subsidies.
     """
     _check_partition(inst, part)
-    if part.n_large == 0 or part.n_small == 0:
+    n_large, n_small, m = len(part.large_agents), len(part.small_agents), inst.m
+    if n_large == 0 or n_small == 0:
         # one group only: identical agents, every allocation qualifies
         return solve_identical(inst).allocation
-    diff = [part.large_values[h] - part.small_values[h] for h in range(inst.m)]
-    order = sorted(range(inst.m), key=lambda h: -diff[h])
-    n_large, n_small, m = part.n_large, part.n_small, inst.m
+    diff = [part.large_values[h] - part.small_values[h] for h in range(m)]
+    order = sorted(range(m), key=lambda h: -diff[h])
     large_floor = diff[order[n_large - 1]] / part.large_weight
     small_ceiling = diff[order[m - n_small]] / part.small_weight
     if large_floor < small_ceiling:
@@ -170,12 +162,11 @@ def representing_graph(inst: Instance) -> RepresentingGraph:
     values = {v for row in inst.utilities for v in row}
     low_values = values - {one}
     if len(low_values) > 1:
-        shown = ", ".join(format_rational(v) for v in sorted(values))
-        raise NotBivalued(f"more than two utility values: {shown}")
+        raise NotBivalued(f"more than two utility values: {', '.join(map(shown, sorted(values)))}")
     if low_values:
         epsilon = low_values.pop()
         if epsilon >= 1:
-            raise NotBivalued(f"low value {epsilon} is not below 1")
+            raise NotBivalued(f"low value {shown(epsilon)} is not below 1")
     else:
         epsilon = Fraction(0)
     neighbors = tuple(
@@ -185,58 +176,44 @@ def representing_graph(inst: Instance) -> RepresentingGraph:
     return RepresentingGraph(neighbors, epsilon)
 
 
-def enumerate_maximum_matchings(
-    graph: RepresentingGraph, cap: int | None = None
-) -> Iterator[tuple[int | None, ...]]:
+def enumerate_maximum_matchings(graph: RepresentingGraph) -> Iterator[tuple[int | None, ...]]:
     """Yield every maximum-cardinality matching exactly once.
 
-    Depth-first over agents in ascending order, trying each neighbour in
-    ascending order before the unmatched branch; branches that cannot
-    reach maximum cardinality any more are cut by re-matching the rest.
-    Stops after `cap` matchings when a cap is given.
+    A depth-first walk over agents in ascending order, on an explicit stack
+    holding one generator of extensions per prefix on the current path: each
+    tries the next agent's neighbours in ascending order, then leaving it
+    unmatched.  Every tried choice costs one maximum matching of the agents
+    after it, and is kept only if the maximum cardinality is still reachable.
+    The walk is lazy, so `itertools.islice` reads a prefix of the matchings
+    with no check run past the last one read.
     """
-    if cap == 0:
-        return
     n = graph.n
     target = sum(1 for h in maximum_matching(graph.neighbors, n) if h is not None)
-    used: set[int] = set()
-    chosen: list[int | None] = []
 
-    def take(agent: int, house: int | None) -> bool:
-        # None leaves the agent unmatched, so `used` holds the matched houses
-        if house is not None:
-            used.add(house)
+    def reaches_target(prefix: tuple[int | None, ...]) -> bool:
+        used = set(prefix) - {None}
         rest = [
             tuple(h for h in graph.neighbors[a] if h not in used)
-            for a in range(agent + 1, n)
+            for a in range(len(prefix), n)
         ]
-        if len(used) + sum(1 for h in maximum_matching(rest, n) if h is not None) >= target:
-            chosen.append(house)
-            return True
-        used.discard(house)
-        return False
+        return len(used) + sum(1 for h in maximum_matching(rest, n) if h is not None) >= target
 
-    # the branch, on an explicit stack: per agent, the choices it has yet to try
-    stack: list[Iterator[int | None]] = []
-    found = 0
-    while True:
-        if len(chosen) == n:
-            yield tuple(chosen)
-            found += 1
-            if found == cap:
-                return
-        else:
-            stack.append(iter((*graph.neighbors[len(chosen)], None)))
-        # back up to the deepest agent with a choice left and take it
-        while stack:
-            agent = len(stack) - 1
-            if len(chosen) > agent:
-                used.discard(chosen.pop())
-            if any(take(agent, house) for house in stack[-1] if house not in used):
-                break
+    def extensions(chosen: tuple[int | None, ...]) -> Iterator[tuple[int | None, ...]]:
+        for house in (*graph.neighbors[len(chosen)], None):
+            if house is None or house not in chosen:
+                child = (*chosen, house)
+                if reaches_target(child):
+                    yield child
+
+    stack = [iter([()])]
+    while stack:
+        chosen = next(stack[-1], None)
+        if chosen is None:
             stack.pop()
-        if not stack:
-            return
+        elif len(chosen) == n:
+            yield chosen
+        else:
+            stack.append(extensions(chosen))
 
 
 @dataclass(frozen=True)
@@ -294,7 +271,7 @@ def solve_normalized_pair(inst: Instance) -> Allocation:
     one = Fraction(1)
     for i in range(2):
         if sum(inst.utilities[i]) != one:
-            raise NotNormalized(f"agent {i} utilities sum to {sum(inst.utilities[i])}")
+            raise NotNormalized(f"agent {i} utilities sum to {shown(sum(inst.utilities[i]))}")
     first, second = inst.utilities
     for h1 in range(inst.m):
         for h2 in range(inst.m):
@@ -313,8 +290,7 @@ def unweighted_efable(inst: Instance) -> Allocation:
     objective so one exact assignment solve suffices.
     """
     if any(w != inst.weights[0] for w in inst.weights):
-        shown = ", ".join(format_rational(w) for w in inst.weights)
-        raise NotUnweighted(f"weights are not all equal: {shown}")
+        raise NotUnweighted(f"weights are not all equal: {', '.join(map(shown, inst.weights))}")
     n, m = inst.n, inst.m
     scaled = scaled_integers(inst)[0]
     base = (m + 1) ** n

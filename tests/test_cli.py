@@ -124,6 +124,30 @@ class TestSolve:
         assert out == ""
         assert "exponent beyond 4300" in err
 
+    @pytest.mark.parametrize("raw", ["1_000", "1_0/3", "1.5_0", "1e1_0", " 1 / 2 ", "1 /2"])
+    def test_grammar_added_after_python_3_10_exit_one(self, capsys, write_files, raw):
+        text = json.dumps({"weights": [raw], "utilities": [["1"]]})
+        code, out, err = run_cli(capsys, "solve", "--input", write_files("grammar.json", text))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse rational from {raw!r}\n"
+
+    def test_invalid_number_past_print_limit_exit_one(self, capsys, write_files):
+        text = '{"weights": ["-1e4300", "1"], "utilities": [[1, 0], [0, 1]]}'
+        code, out, err = run_cli(capsys, "solve", "--input", write_files("huge.json", text))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: agent 0 has weight ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+
+    def test_special_auto_reads_unprintable_value_as_mode_mismatch(self, capsys, write_files):
+        # three agent types, and a "low" value past the print limit: no family fits
+        rows = [["1e4300", 1, 1], [1, "1e4300", 1], [1, 1, "1e4300"]]
+        text = json.dumps({"weights": [1, 1, 1], "utilities": rows})
+        code, out, err = run_cli(capsys, "special", "--input", write_files("huge.json", text))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: instance fits no special family (identical, two-type, bivalued, normalized)\n"
+        )
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -210,6 +210,14 @@ class TestMinSubsidy:
             min_subsidy(inst, Allocation((1, 0)))
         assert caught.value.cycle.weight == 1 + Fraction(1, 10**4300)
 
+    def test_unprintable_weight_message(self):
+        inst = make_instance([1, 1], [["1e4300", 0], [0, "1e4300"]])
+        with pytest.raises(NotWefable) as caught:
+            min_subsidy(inst, Allocation((1, 0)))
+        assert str(caught.value) == (
+            "positive envy cycle (0, 1, 0) of weight <a number past the 4300-digit print limit>"
+        )
+
     def test_soundness_and_minimality_on_sweep(self):
         probe = Fraction(1, 1000)
         for inst in random_instances(60, seed0=2500):

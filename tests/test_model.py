@@ -18,6 +18,7 @@ from wefhouse.model import (
     Allocation,
     Outcome,
     SubsidyVector,
+    check_allocation,
     format_rational,
     is_wef_allocation,
     is_wef_outcome,
@@ -44,6 +45,11 @@ class TestParseRational:
             ("7", Fraction(7)),
             (" 2/6 ", Fraction(1, 3)),
             ("-3/4", Fraction(-3, 4)),
+            (" 7 ", Fraction(7)),
+            (".5", Fraction(1, 2)),
+            ("1.", Fraction(1)),
+            ("+1/2", Fraction(1, 2)),
+            ("1.5e-3", Fraction(3, 2000)),
         ],
     )
     def test_valid(self, raw, expected):
@@ -58,6 +64,17 @@ class TestParseRational:
     def test_exponent_past_cap(self, raw):
         with pytest.raises(MalformedNumber, match="exponent beyond 4300"):
             parse_rational(raw)
+
+    @pytest.mark.parametrize("raw", ["1_000", "1_0/3", "1.5_0", "1e1_0", " 1 / 2 ", "1 /2"])
+    def test_grammar_added_after_python_3_10_rejected(self, raw):
+        # Fraction reads these on some supported Pythons only
+        message = f"cannot parse rational from {raw!r}"
+        with pytest.raises(MalformedNumber) as caught:
+            parse_rational(raw)
+        assert str(caught.value) == message
+        with pytest.raises(MalformedNumber) as caught:
+            make_instance([raw], [[1]])
+        assert str(caught.value) == message
 
     def test_exponent_at_cap(self):
         assert parse_rational("1e4300") == 10**4300
@@ -180,6 +197,23 @@ class TestContainers:
     def test_outcome_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Outcome(Allocation((0, 1)), SubsidyVector((Fraction(0),)))
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: make_instance(["-1e4300", "1"], [[1, 0], [0, 1]]), NonPositiveWeight),
+            (lambda: make_instance(["1"], [["-1e4300"]]), NegativeUtility),
+            (lambda: SubsidyVector((Fraction(-10**4400),)), NegativeSubsidy),
+            (lambda: Allocation((-10**4400,)), InvalidAllocation),
+            (lambda: Allocation((10**4400, 10**4400)), InvalidAllocation),
+            (lambda: check_allocation(make_instance([1], [[1]]), Allocation((10**4400,))),
+             InvalidAllocation),
+        ],
+        ids=["weight", "utility", "payment", "house", "repeated-house", "house-range"],
+    )
+    def test_invalid_number_past_print_limit_keeps_its_error(self, build, error):
+        with pytest.raises(error, match="4300-digit print limit"):
+            build()
 
 
 class TestWefAllocation:

@@ -261,6 +261,21 @@ def enumerate_maximum_matchings_recursive(graph, cap=None):
     yield from extend(0, set(), [], 0)
 
 
+@pytest.mark.parametrize(
+    "solve, weights, utilities, error",
+    [
+        (solve_normalized_pair, [1, 1], [["1e4300", 0], [0, 1]], NotNormalized),
+        (representing_graph, [1, 1], [["1e4300", 1], [1, "1e4300"]], NotBivalued),
+        (representing_graph, [1, 1], [["1e4300", 0], [1, 1]], NotBivalued),
+        (unweighted_efable, ["1e4300", "1"], [[1, 0], [0, 1]], NotUnweighted),
+    ],
+    ids=["normalized-sum", "bivalued-low-value", "bivalued-values", "unweighted-weights"],
+)
+def test_value_past_print_limit_keeps_its_error(solve, weights, utilities, error):
+    with pytest.raises(error, match="4300-digit print limit"):
+        solve(make_instance(weights, utilities))
+
+
 class TestEnumerateMaximumMatchings:
     def test_complete_two_by_two(self):
         inst = make_instance([1, 1], [[1, 1], [1, 1]])
@@ -279,7 +294,7 @@ class TestEnumerateMaximumMatchings:
 
     def test_cap_truncates(self):
         inst = make_instance([1, 1, 1], [[1, 1, 1]] * 3)
-        found = list(enumerate_maximum_matchings(representing_graph(inst), cap=4))
+        found = list(itertools.islice(enumerate_maximum_matchings(representing_graph(inst)), 4))
         assert len(found) == 4
 
     def test_complete_against_brute_force(self):
@@ -300,14 +315,44 @@ class TestEnumerateMaximumMatchings:
                 enumerate_maximum_matchings_recursive(graph)
             )
             for cap in (0, 1, 3):
-                assert list(enumerate_maximum_matchings(graph, cap=cap)) == list(
+                assert list(itertools.islice(enumerate_maximum_matchings(graph), cap)) == list(
                     enumerate_maximum_matchings_recursive(graph, cap=cap)
                 )
 
     def test_long_diagonal_needs_no_recursion(self):
         n = 1500
         graph = RepresentingGraph(tuple((i,) for i in range(n)), Fraction(0))
-        assert list(enumerate_maximum_matchings(graph, cap=1)) == [tuple(range(n))]
+        assert list(itertools.islice(enumerate_maximum_matchings(graph), 1)) == [tuple(range(n))]
+
+    @pytest.mark.parametrize(
+        "neighbors, read, matchings, calls",
+        [
+            ((tuple(range(4)),) * 4, None, 24, 106),
+            (((0,),) * 5, None, 5, 21),
+            (((),) * 3, None, 1, 4),
+            ((), None, 1, 1),
+            (tuple((i,) for i in range(1500)), 1, 1, 1501),
+            ((tuple(range(4)),) * 4, 0, 0, 0),
+        ],
+        ids=["complete-4", "star-5", "no-edges-3", "no-agents", "diagonal-1500-first", "read-none"],
+    )
+    def test_one_residual_matching_per_tried_choice(
+        self, monkeypatch, neighbors, read, matchings, calls
+    ):
+        # one target matching, then one per choice tried; cut branches are never tried
+        counted = []
+
+        def counting(rows, house_count):
+            counted.append(len(rows))
+            return maximum_matching(rows, house_count)
+
+        monkeypatch.setattr("wefhouse.special.maximum_matching", counting)
+        graph = RepresentingGraph(neighbors, Fraction(0))
+        found = list(itertools.islice(enumerate_maximum_matchings(graph), read))
+        assert len(found) == matchings
+        assert len(counted) == calls
+        if not neighbors:
+            assert found == [()]
 
 
 class TestSolveBivalued:
