@@ -5,12 +5,15 @@ v_i(A_j)/w_j - v_i(A_i)/w_i.  An allocation can be made weighted
 envy-free with non-negative payments exactly when the complete digraph
 of these envy amounts has no positive-weight cycle, and the pointwise
 smallest such payment to agent i is its weight times the maximum total
-envy along any path starting at i.
+envy along any path starting at i.  The graph is built once, as integers
+times one exact positive scale; only results are divided back by it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import add
 
 from .errors import NotWefable
@@ -19,13 +22,19 @@ from .model import Allocation, Instance, SubsidyVector, check_allocation, clear_
 
 @dataclass(frozen=True)
 class WeightedEnvyGraph:
-    """Complete digraph over agents; entry (i, j) is i's envy toward j."""
+    """Complete digraph over agents; table[i][j] is i's envy toward j times scale > 0."""
 
-    weights: tuple[tuple[Fraction, ...], ...]
+    table: tuple[tuple[int, ...], ...]
+    scale: Fraction
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.table)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact envy amounts: entry (i, j) is table[i][j] / scale."""
+        return tuple(tuple(v / self.scale for v in row) for row in self.table)
 
 
 @dataclass(frozen=True)
@@ -52,39 +61,43 @@ class PositiveCycle:
 
 
 def build_envy_graph(inst: Instance, allocation: Allocation) -> WeightedEnvyGraph:
-    """Pairwise envy amounts for the allocation; the diagonal is zero."""
+    """Pairwise envy for the allocation, times one exact positive scale.
+
+    Entry (i, j) is U_i(A_j)*D/W_j - U_i(A_i)*D/W_i, where U clears the
+    denominators of the n*n received values only, W the weights', D = lcm(W).
+    """
     check_allocation(inst, allocation)
-    zero = Fraction(0)
+    houses = allocation.assignment
+    (weights,), weight_den = clear_denominators((inst.weights,))
+    top = lcm(*weights)
+    per_weight = [top // w for w in weights]
+    utility_den = lcm(*(row[h].denominator for row in inst.utilities for h in houses))
     rows = []
-    for i in range(inst.n):
-        own = inst.utilities[i][allocation[i]] / inst.weights[i]
-        rows.append(
-            tuple(
-                zero if i == j
-                else inst.utilities[i][allocation[j]] / inst.weights[j] - own
-                for j in range(inst.n)
-            )
-        )
-    return WeightedEnvyGraph(tuple(rows))
+    for i, row in enumerate(inst.utilities):
+        envied = [row[h].numerator * (utility_den // row[h].denominator) * d
+                  for h, d in zip(houses, per_weight)]
+        own = envied[i]
+        rows.append(tuple(v - own for v in envied))
+    return WeightedEnvyGraph(tuple(rows), Fraction(utility_den * top, weight_den))
 
 
 def max_path_weights(graph: WeightedEnvyGraph) -> PathWeights | PositiveCycle:
     """Longest path weight from each agent, or a positive cycle.
 
-    Bellman-Ford on the integer envy table toward a virtual sink that every
-    agent reaches by a 0-weight edge.  A pass raises each dist[i], in
-    ascending i, to the best w[i][j] + dist[j] and points succ[i] at the
-    first such j.  Any cycle of these pointers is positive, and one forms by
-    pass n if the graph has a positive cycle; else a pass that raises
-    nothing leaves the longest path weights in dist.
+    Bellman-Ford on graph.table toward a virtual sink that every agent
+    reaches by a 0-weight edge.  A pass raises each dist[i], in ascending
+    i, to the best table[i][j] + dist[j] and points succ[i] at the first
+    such j.  Any cycle of these pointers is positive, and one forms by pass
+    n if the graph has a positive cycle; else a pass that raises nothing
+    leaves the longest path weights in dist.  The positive scale changes no
+    comparison; only the n path weights, or the cycle's sum, are divided by it.
     """
-    weights, den = clear_denominators(graph.weights)
     dist = [0] * graph.n
     succ: list[int | None] = [None] * graph.n
     changed = True
     while changed:
         changed = False
-        for i, row in enumerate(weights):
+        for i, row in enumerate(graph.table):
             reach = list(map(add, row, dist))
             best = max(reach)
             if best > dist[i]:
@@ -93,10 +106,10 @@ def max_path_weights(graph: WeightedEnvyGraph) -> PathWeights | PositiveCycle:
                 changed = True
         nodes = _successor_cycle(succ)
         if nodes is not None:
-            weight = sum(graph.weights[a][b] for a, b in zip(nodes, nodes[1:]))
+            weight = sum(graph.table[a][b] for a, b in zip(nodes, nodes[1:]))
             assert weight > 0
-            return PositiveCycle(nodes, weight)
-    return PathWeights(tuple(Fraction(d, den) for d in dist))
+            return PositiveCycle(nodes, weight / graph.scale)
+    return PathWeights(tuple(d / graph.scale for d in dist))
 
 
 def _successor_cycle(succ: list[int | None]) -> tuple[int, ...] | None:

@@ -38,8 +38,9 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     # Fraction reads "_" digit groups from 3.11 on and spaces around "/" from
-    # 3.12 on: rejecting both keeps 3.10's grammar on every version
-    if isinstance(value, str) and "_" not in value and len(value.split()) == 1:
+    # 3.12 on, and any Unicode digit on every version: rejecting all three
+    # keeps the ASCII grammar of 3.10 on every version
+    if isinstance(value, str) and value.isascii() and "_" not in value and len(value.split()) == 1:
         text = value.strip()
         exponent = text.lower().partition("e")[2] if "e" in text or "E" in text else ""
         try:

@@ -131,6 +131,13 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == f"error: cannot parse rational from {raw!r}\n"
 
+    @pytest.mark.parametrize("raw", ["\u0661\u0662", "\uff11/\uff12", "1\uff12"])
+    def test_non_ascii_digits_exit_one(self, capsys, write_files, raw):
+        text = json.dumps({"weights": [1], "utilities": [[raw]]})
+        code, out, err = run_cli(capsys, "solve", "--input", write_files("digits.json", text))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse rational from {raw!r}\n"
+
     def test_invalid_number_past_print_limit_exit_one(self, capsys, write_files):
         text = '{"weights": ["-1e4300", "1"], "utilities": [[1, 0], [0, 1]]}'
         code, out, err = run_cli(capsys, "solve", "--input", write_files("huge.json", text))

@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -130,9 +132,22 @@ def _engine_sweep():
     Identical utilities make every allocation WEFable, as does the
     maximum-utility assignment under equal weights; random allocations of
     general instances are mostly not WEFable, with cycles of many lengths.
+    Normalized utilities, bivalued ones with epsilon 1/4 and weights such
+    as 3/2 put fractions into both parts of the envy amounts.
     """
-    rng = random.Random(9100)
+    rng, fractional = random.Random(9100), random.Random(9200)
     for n in range(1, 41, 3):
+        for structure in ("normalized", "bivalued"):
+            m = n if structure == "bivalued" else n + fractional.randrange(n + 1)
+            inst = generate_instance(
+                GeneratorConfig(n=n, m=m, seed=fractional.randrange(10**6), weights="uniform:1:9",
+                                structure=structure, epsilon=Fraction(1, 4))
+            )
+            yield inst, Allocation(tuple(fractional.sample(range(m), n)))
+            # identical rows: WEFable, with fractional longest paths
+            weights = [f"{fractional.randint(1, 9)}/{fractional.randint(1, 4)}" for _ in range(n)]
+            identical = make_instance(weights, [inst.utilities[0]] * n)
+            yield identical, Allocation(tuple(fractional.sample(range(m), n)))
         for structure, weights, utilities in (
             ("identical", "uniform:1:9", "uniform:0:30"),
             ("general", "uniform:1:1", "uniform:0:30"),
@@ -171,6 +186,17 @@ class TestEngineAgainstReference:
         assert 0 < wefable < len(pairs)
         assert longer_cycles > 0
 
+    def test_table_is_the_scaled_envy(self):
+        for inst, allocation in _engine_sweep():
+            graph = build_envy_graph(inst, allocation)
+            assert graph.scale > 0
+            u, w = inst.utilities, inst.weights
+            for i in range(inst.n):
+                own = u[i][allocation[i]] / w[i]
+                for j in range(inst.n):
+                    assert graph.weights[i][j] == u[i][allocation[j]] / w[j] - own
+                    assert graph.table[i][j] == graph.weights[i][j] * graph.scale
+
 
 class TestIsWefable:
     def test_flat_pair_never(self, flat_pair):
@@ -184,6 +210,25 @@ class TestIsWefable:
     def test_hard_triple_never(self, hard_triple):
         for allocation in iter_allocations(3, 3):
             assert not is_wefable(hard_triple, allocation)
+
+
+class TestHostileDenominators:
+    def test_is_wefable_memory_stays_bounded(self):
+        # one distinct prime denominator 1/p per cell: the table's scale is the
+        # product of the n*n received values' primes, not of all n*m
+        n, m = 30, 60
+        primes = [p for p in range(2, 16_000) if all(p % d for d in range(2, isqrt(p) + 1))]
+        cells = iter(primes)
+        inst = make_instance([1] * n, [[Fraction(1, next(cells)) for _ in range(m)] for _ in range(n)])
+        tracemalloc.start()
+        try:
+            wefable = is_wefable(inst, Allocation(tuple(range(n))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not wefable
+        # 1.44 MB on CPython 3.10 to 3.13; an lcm over all n*m cells reaches 2.9 MB
+        assert peak <= 2_000_000
 
 
 class TestMinSubsidy:

@@ -76,6 +76,17 @@ class TestParseRational:
             make_instance([raw], [[1]])
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("raw", ["\u0661\u0662", "\uff11/\uff12", "1\uff12", "\u0967.5"])
+    def test_non_ascii_digits_rejected(self, raw):
+        # Fraction reads any Unicode decimal digit
+        message = f"cannot parse rational from {raw!r}"
+        with pytest.raises(MalformedNumber) as caught:
+            parse_rational(raw)
+        assert str(caught.value) == message
+        with pytest.raises(MalformedNumber) as caught:
+            make_instance([1], [[raw]])
+        assert str(caught.value) == message
+
     def test_exponent_at_cap(self):
         assert parse_rational("1e4300") == 10**4300
         assert parse_rational("1e-4300") == Fraction(1, 10**4300)
