@@ -93,10 +93,8 @@ def _wefable(inst: Instance, args) -> tuple[dict, int]:
 
 
 def _oracle(inst: Instance, args) -> tuple[dict, int]:
-    if args.query == "wef":
-        found = oracle.oracle_wef_exists(inst, cap=args.cap)
-    else:
-        found = oracle.oracle_wefable_exists(inst, allocation_cap=args.cap)
+    exists = oracle.oracle_wef_exists if args.query == "wef" else oracle.oracle_wefable_exists
+    found = exists(inst, cap=args.cap)
     fields, code = _decision(found)
     return {"query": args.query, **fields}, code
 

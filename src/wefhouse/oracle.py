@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Iterator
 
 from .errors import CapExceeded
@@ -29,10 +29,7 @@ PERMUTATION_CAP = 5_040
 
 def count_allocations(n: int, m: int) -> int:
     """Number of injective assignments of n agents into m houses."""
-    total = 1
-    for k in range(n):
-        total *= m - k
-    return total
+    return perm(m, n)
 
 
 def iter_allocations(n: int, m: int) -> Iterator[Allocation]:
@@ -78,17 +75,17 @@ def oracle_permutation_resistant(inst: Instance, allocation: Allocation) -> bool
 
 
 def oracle_wefable_exists(
-    inst: Instance, allocation_cap: int = DEFAULT_ALLOCATION_CAP
+    inst: Instance, cap: int = DEFAULT_ALLOCATION_CAP
 ) -> Allocation | None:
     """First allocation that survives the factorial permutation check, else None.
 
-    Raises CapExceeded past `allocation_cap` allocations, and past the fixed
+    Raises CapExceeded past `cap` allocations, and past the fixed
     PERMUTATION_CAP (5040) permutations per allocation, which the check of
     the first allocation meets before it compares any.
     """
     total = count_allocations(inst.n, inst.m)
-    if total > allocation_cap:
-        raise CapExceeded(f"{total} allocations exceed the cap of {allocation_cap}")
+    if total > cap:
+        raise CapExceeded(f"{total} allocations exceed the cap of {cap}")
     for allocation in iter_allocations(inst.n, inst.m):
         if oracle_permutation_resistant(inst, allocation):
             return allocation

@@ -9,8 +9,9 @@ agent's top group contains one of its own assignments, a candidate
 bipartite graph over those favourites is matched; an agent-saturating
 matching is a weighted envy-free allocation, otherwise a minimal Hall
 violator pinpoints further assignments to discard.  The pool only ever
-shrinks, so the loop terminates; if it drops below one assignment per
-agent, no weighted envy-free allocation exists.
+shrinks and never loses a pair of a weighted envy-free allocation, so the
+loop terminates, and it stops as soon as some agent has no live house
+left: every such allocation gives each agent a house, so none exists.
 
 `solve_wef` runs the search on the integer view of the instance
 (`model.scaled_integers`), keeps the pool in one place and reads each
@@ -89,7 +90,10 @@ def minimal_hall_violator(
 
 @dataclass
 class SolveStats:
-    """Trace counters for one solver run."""
+    """Trace counters for one solver run: `rounds` pruning passes begun;
+    `prune_steps` top groups removed, each before a pruning fixed point or
+    the first agent left with no live house; `violators_removed` Hall
+    violators whose candidate assignments were removed."""
 
     prune_steps: int = 0
     violators_removed: int = 0
@@ -110,11 +114,9 @@ def solve_wef_traced(inst: Instance) -> tuple[Allocation | None, SolveStats]:
     """solve_wef plus trace counters used by the command line report."""
     stats = SolveStats()
     engine = _Engine(inst)
-    n = inst.n
-    while engine.live >= n:
+    while None not in engine.own_best:
         stats.rounds += 1
-        engine.prune(stats)
-        if engine.live < n:
+        if not engine.prune(stats):
             break
         graph = CandidateGraph(engine.candidate_rows(), inst.m)
         if __debug__:
@@ -141,7 +143,9 @@ class _Engine:
     only move forward.  A viewer's best value over the whole pool is the
     best utility/min-weight ratio over columns, cached as the first column
     attaining it (`witness`) and that column's minimum (`best_den`).  Minima
-    only rise, so the cache is exact while the two are still equal.
+    only rise, so the cache is exact while the two are still equal.  The
+    search stops once some agent has no live house (`own_best` holds None),
+    so the methods may assume every agent still has one.
     """
 
     def __init__(self, inst: Instance):
@@ -150,7 +154,6 @@ class _Engine:
         self.U, self.W = scaled_integers(inst)
         n, m = self.n, self.m
         self.rows: list[set[int]] = [set(range(m)) for _ in range(n)]
-        self.live = n * m
         self.order = sorted(range(n), key=self.W.__getitem__)
         self.cursor = [0] * m
         self.col_min: list[int | None] = [self.W[self.order[0]]] * m
@@ -170,14 +173,12 @@ class _Engine:
         self.best_den[viewer] = best_den
 
     def first_triggered(self) -> int | None:
-        if self.live == 0:
-            return None
         for viewer in range(self.n):
             if self.col_min[self.witness[viewer]] != self.best_den[viewer]:
                 self._refresh(viewer)
             own = self.own_best[viewer]
             best = self.U[viewer][self.witness[viewer]]
-            if own is None or own * self.best_den[viewer] < best * self.W[viewer]:
+            if own * self.best_den[viewer] < best * self.W[viewer]:
                 return viewer
         return None
 
@@ -186,12 +187,6 @@ class _Engine:
         row = self.U[viewer]
         best, best_den = row[self.witness[viewer]], self.best_den[viewer]
         pairs = []
-        if best == 0:
-            # every live assignment is worth 0 to this viewer
-            for agent in range(self.n):
-                for house in self.rows[agent]:
-                    pairs.append((agent, house))
-            return pairs
         order, rows, W = self.order, self.rows, self.W
         for house in range(self.m):
             den = self.col_min[house]
@@ -208,7 +203,6 @@ class _Engine:
         for agent, house in pairs:
             row = self.rows[agent]
             row.remove(house)
-            self.live -= 1
             values = self.U[agent]
             if self.own_best[agent] == values[house]:
                 self.own_best[agent] = max((values[x] for x in row), default=None)
@@ -220,13 +214,16 @@ class _Engine:
             self.cursor[house] = k
             self.col_min[house] = self.W[self.order[k]] if k < self.n else None
 
-    def prune(self, stats: SolveStats) -> None:
-        while True:
+    def prune(self, stats: SolveStats) -> bool:
+        """Remove top groups until no viewer is triggered (True), or until
+        some agent has no live house left (False)."""
+        while None not in self.own_best:
             viewer = self.first_triggered()
             if viewer is None:
-                return
+                return True
             self.remove_pairs(self.top_pairs(viewer))
             stats.prune_steps += 1
+        return False
 
     def candidate_rows(self) -> tuple[tuple[int, ...], ...]:
         """Each agent's live houses of its best own value: at a pruning fixed

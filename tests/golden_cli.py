@@ -10,8 +10,9 @@ and in the recorded output.
 
     PYTHONPATH=src python tests/golden_cli.py
 
-rewrites `tests/golden_cli.json` from the code under `src/`; the test in
-`test_golden_cli.py` replays that file and requires the same records.
+rewrites `tests/golden_cli.json` from the code under `src/`; the tests in
+`test_golden_cli.py` replay that file and require the same records, and
+require its runs to be the ones `corpus_runs` lists.
 Regenerate it only for an intended change of CLI behaviour.
 """
 from __future__ import annotations

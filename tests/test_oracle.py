@@ -73,6 +73,11 @@ class TestWefableExists:
     def test_hard_triple(self, hard_triple):
         assert oracle_wefable_exists(hard_triple) is None
 
+    def test_cap(self):
+        inst = make_instance([1] * 4, [[1] * 8] * 4)
+        with pytest.raises(CapExceeded):
+            oracle_wefable_exists(inst, cap=100)
+
     def test_permutation_cap(self):
         inst = make_instance([1] * 8, [[1] * 8] * 8)
         with pytest.raises(CapExceeded):

@@ -219,11 +219,13 @@ class TestSearchPath:
         [
             (lambda: _generated(40, 52, 3, "uniform:1:1", "uniform:0:1000"), False, 50, 50, 50),
             (lambda: _generated(30, 60, 4, "uniform:1:1", "uniform:0:100"), False, 48, 52, 48),
-            (lambda: _generated(60, 120, 5, "uniform:1:10", "uniform:0:100"), False, 1, 720, 0),
+            (lambda: _generated(60, 120, 5, "uniform:1:10", "uniform:0:100"), False, 1, 261, 0),
             (lambda: planted_instance(SplitMix64(7), 60, 120), True, 2, 285, 1),
             (lambda: planted_instance(SplitMix64(8), 60, 120), True, 1, 319, 0),
+            # agent 1's row empties after one step, which ends the search
+            (lambda: make_instance([2, 1], [[1, 1], [1, 3]]), False, 1, 1, 0),
         ],
-        ids=["equal-1000", "equal-100", "weighted", "planted-7", "planted-8"],
+        ids=["equal-1000", "equal-100", "weighted", "planted-7", "planted-8", "early-stop"],
     )
     def test_counters(self, make, found, rounds, prune_steps, violators):
         allocation, stats = solve_wef_traced(make())
@@ -348,7 +350,7 @@ class TestCacheRule:
         steps = 0
         for inst in instances:
             engine = _Engine(inst)
-            while engine.live >= inst.n:
+            while None not in engine.own_best:
                 viewer = engine.first_triggered()
                 for v in range(inst.n):
                     if engine.col_min[engine.witness[v]] == engine.best_den[v]:
