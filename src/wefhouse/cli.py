@@ -12,6 +12,7 @@ standard error and no report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -72,10 +73,7 @@ def _decision(allocation: Allocation | None) -> tuple[dict, int]:
 def _solve(inst: Instance, args) -> tuple[dict, int]:
     allocation, stats = solve_wef_traced(inst)
     fields, code = _decision(allocation)
-    fields["counters"] = {
-        "prune_steps": stats.prune_steps,
-        "violators_removed": stats.violators_removed,
-    }
+    fields["counters"] = dataclasses.asdict(stats)
     return fields, code
 
 

@@ -92,10 +92,6 @@ class NotTwoAgents(ModeMismatch):
     """The operation is defined only for two agents."""
 
 
-class SearchFailed(WefHouseError):
-    """A search that must succeed on valid input found nothing; input or code is wrong."""
-
-
 class NotUnweighted(WefHouseError):
     """Agent weights are not all equal."""
 

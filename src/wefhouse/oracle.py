@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, perm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapExceeded
 from .model import (
@@ -38,17 +38,19 @@ def iter_allocations(n: int, m: int) -> Iterator[Allocation]:
         yield Allocation(assignment)
 
 
+def _first_allocation(inst: Instance, cap: int, accept: Callable) -> Allocation | None:
+    """First allocation (lexicographic) that `accept` passes; CapExceeded past `cap`."""
+    total = count_allocations(inst.n, inst.m)
+    if total > cap:
+        raise CapExceeded(f"{total} allocations exceed the cap of {cap}")
+    return next((a for a in iter_allocations(inst.n, inst.m) if accept(inst, a)), None)
+
+
 def oracle_wef_exists(
     inst: Instance, cap: int = DEFAULT_ALLOCATION_CAP
 ) -> Allocation | None:
     """First allocation (lexicographic) that is weighted envy-free, else None."""
-    total = count_allocations(inst.n, inst.m)
-    if total > cap:
-        raise CapExceeded(f"{total} allocations exceed the cap of {cap}")
-    for allocation in iter_allocations(inst.n, inst.m):
-        if is_wef_allocation(inst, allocation):
-            return allocation
-    return None
+    return _first_allocation(inst, cap, is_wef_allocation)
 
 
 def oracle_permutation_resistant(inst: Instance, allocation: Allocation) -> bool:
@@ -83,13 +85,7 @@ def oracle_wefable_exists(
     PERMUTATION_CAP (5040) permutations per allocation, which the check of
     the first allocation meets before it compares any.
     """
-    total = count_allocations(inst.n, inst.m)
-    if total > cap:
-        raise CapExceeded(f"{total} allocations exceed the cap of {cap}")
-    for allocation in iter_allocations(inst.n, inst.m):
-        if oracle_permutation_resistant(inst, allocation):
-            return allocation
-    return None
+    return _first_allocation(inst, cap, oracle_permutation_resistant)
 
 
 def verify_min_subsidy(

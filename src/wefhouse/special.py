@@ -22,7 +22,6 @@ from .errors import (
     NotSquare,
     NotTwoAgents,
     NotUnweighted,
-    SearchFailed,
 )
 from .model import Allocation, Instance, Outcome, SubsidyVector, scaled_integers, shown
 
@@ -54,8 +53,10 @@ def solve_identical(inst: Instance) -> Outcome:
 
 @dataclass(frozen=True)
 class TwoTypePartition:
-    """Agents split into two groups sharing a weight and a utility row.
+    """Agents split into two non-empty groups, named by agent index only.
 
+    Each group's weight and utility row are read from the instance, at
+    the group's first agent; every other member must match that agent.
     The labels are only names: nothing requires the "large" group to have
     the larger weight, and the existence decision does not depend on
     which group carries which label.
@@ -63,20 +64,9 @@ class TwoTypePartition:
 
     large_agents: tuple[int, ...]
     small_agents: tuple[int, ...]
-    large_weight: Fraction
-    small_weight: Fraction
-    large_values: tuple[Fraction, ...]
-    small_values: tuple[Fraction, ...]
 
     def swapped(self) -> "TwoTypePartition":
-        return TwoTypePartition(
-            self.small_agents,
-            self.large_agents,
-            self.small_weight,
-            self.large_weight,
-            self.small_values,
-            self.large_values,
-        )
+        return TwoTypePartition(self.small_agents, self.large_agents)
 
 
 def detect_two_types(inst: Instance) -> TwoTypePartition | None:
@@ -87,34 +77,25 @@ def detect_two_types(inst: Instance) -> TwoTypePartition | None:
     groups: dict[tuple, list[int]] = {}
     for i in range(inst.n):
         groups.setdefault((inst.weights[i], inst.utilities[i]), []).append(i)
-    if len(groups) != 2:
-        return None
-    (key_l, agents_l), (key_s, agents_s) = groups.items()
-    return TwoTypePartition(
-        tuple(agents_l),
-        tuple(agents_s),
-        key_l[0],
-        key_s[0],
-        key_l[1],
-        key_s[1],
-    )
+    return TwoTypePartition(*map(tuple, groups.values())) if len(groups) == 2 else None
 
 
 def _check_partition(inst: Instance, part: TwoTypePartition) -> None:
-    claimed = sorted(part.large_agents + part.small_agents)
-    if claimed != list(range(inst.n)):
+    if not part.large_agents or not part.small_agents:
+        raise InconsistentPartition("a group is empty")
+    if sorted(part.large_agents + part.small_agents) != list(range(inst.n)):
         raise InconsistentPartition("groups do not partition the agents")
-    for agent in part.large_agents:
-        if inst.weights[agent] != part.large_weight or inst.utilities[agent] != part.large_values:
-            raise InconsistentPartition(f"agent {agent} does not match the large group")
-    for agent in part.small_agents:
-        if inst.weights[agent] != part.small_weight or inst.utilities[agent] != part.small_values:
-            raise InconsistentPartition(f"agent {agent} does not match the small group")
+    kinds = list(zip(inst.weights, inst.utilities))
+    for first, *rest in (part.large_agents, part.small_agents):
+        for agent in rest:
+            if kinds[agent] != kinds[first]:
+                raise InconsistentPartition(f"agent {agent} does not match agent {first}")
 
 
 def solve_two_types(inst: Instance, part: TwoTypePartition) -> Allocation | None:
     """A weighted envy-freeable allocation for two agent types, or None.
 
+    Each group's weight and utility row are those of its first agent.
     Houses are sorted by descending large-minus-small utility difference
     (stable, so ties keep house order).  The large group takes the first
     block and the small group the last; the split is sound exactly when
@@ -124,14 +105,12 @@ def solve_two_types(inst: Instance, part: TwoTypePartition) -> Allocation | None
     instance can be made weighted envy-free by subsidies.
     """
     _check_partition(inst, part)
+    large, small = part.large_agents[0], part.small_agents[0]
     n_large, n_small, m = len(part.large_agents), len(part.small_agents), inst.m
-    if n_large == 0 or n_small == 0:
-        # one group only: identical agents, every allocation qualifies
-        return solve_identical(inst).allocation
-    diff = [part.large_values[h] - part.small_values[h] for h in range(m)]
+    diff = [a - b for a, b in zip(inst.utilities[large], inst.utilities[small])]
     order = sorted(range(m), key=lambda h: -diff[h])
-    large_floor = diff[order[n_large - 1]] / part.large_weight
-    small_ceiling = diff[order[m - n_small]] / part.small_weight
+    large_floor = diff[order[n_large - 1]] / inst.weights[large]
+    small_ceiling = diff[order[m - n_small]] / inst.weights[small]
     if large_floor < small_ceiling:
         return None
     assignment = [0] * inst.n
@@ -144,10 +123,14 @@ def solve_two_types(inst: Instance, part: TwoTypePartition) -> Allocation | None
 
 @dataclass(frozen=True)
 class RepresentingGraph:
-    """For bi-valued square instances: edges where an agent values a house at 1."""
+    """For bi-valued square instances: edges where an agent values a house at 1.
+
+    `neighbors[i]` lists, in ascending order, the houses agent i values
+    at 1.  The low value is checked by `representing_graph` and not kept:
+    no scan over the graph reads it.
+    """
 
     neighbors: tuple[tuple[int, ...], ...]
-    epsilon: Fraction
 
     @property
     def n(self) -> int:
@@ -163,17 +146,14 @@ def representing_graph(inst: Instance) -> RepresentingGraph:
     low_values = values - {one}
     if len(low_values) > 1:
         raise NotBivalued(f"more than two utility values: {', '.join(map(shown, sorted(values)))}")
-    if low_values:
-        epsilon = low_values.pop()
-        if epsilon >= 1:
-            raise NotBivalued(f"low value {shown(epsilon)} is not below 1")
-    else:
-        epsilon = Fraction(0)
+    for low in low_values:
+        if low >= 1:
+            raise NotBivalued(f"low value {shown(low)} is not below 1")
     neighbors = tuple(
         tuple(h for h in range(inst.m) if inst.utilities[i][h] == one)
         for i in range(inst.n)
     )
-    return RepresentingGraph(neighbors, epsilon)
+    return RepresentingGraph(neighbors)
 
 
 def enumerate_maximum_matchings(graph: RepresentingGraph) -> Iterator[tuple[int | None, ...]]:
@@ -261,10 +241,13 @@ def solve_bivalued(inst: Instance, candidate_cap: int = 100_000) -> BivaluedResu
 def solve_normalized_pair(inst: Instance) -> Allocation:
     """A WEFable allocation for two agents with utilities summing to one.
 
-    Searches ordered house pairs for one where each agent weakly prefers
-    its own house to what the other would hold; such a pair always exists
-    under the normalization, and the resulting two-cycle envy is never
-    positive.  SearchFailed signals unnormalized input or a bug.
+    Agent 0 takes h1, the first house with u0[h1] >= u1[h1], and agent 1
+    takes h2, the first other house with u1[h2] >= u0[h2]; each weakly
+    prefers its own house to the other's, so the two-cycle envy is never
+    positive.  Both houses exist: with d_h = u0[h] - u1[h], the d_h sum
+    to 0 over m >= 2 houses, so some d_h >= 0, and if every house but h1
+    had d_h > 0 the sum would be positive.  This is the first pair, in
+    lexicographic order, with both properties.
     """
     if inst.n != 2:
         raise NotTwoAgents(f"defined for exactly two agents, got {inst.n}")
@@ -273,13 +256,9 @@ def solve_normalized_pair(inst: Instance) -> Allocation:
         if sum(inst.utilities[i]) != one:
             raise NotNormalized(f"agent {i} utilities sum to {shown(sum(inst.utilities[i]))}")
     first, second = inst.utilities
-    for h1 in range(inst.m):
-        for h2 in range(inst.m):
-            if h1 == h2:
-                continue
-            if first[h1] >= second[h1] and second[h2] >= first[h2]:
-                return Allocation((h1, h2))
-    raise SearchFailed("no envy-free pair of houses under unit normalization")
+    h1 = next(h for h in range(inst.m) if first[h] >= second[h])
+    h2 = next(h for h in range(inst.m) if h != h1 and second[h] >= first[h])
+    return Allocation((h1, h2))
 
 
 def unweighted_efable(inst: Instance) -> Allocation:

@@ -86,6 +86,7 @@ class TestSolve:
         assert report["decision"] == "not-found"
         assert "allocation" not in report
         assert report["counters"]["prune_steps"] >= 1
+        assert report["counters"]["rounds"] >= 1
 
     def test_found_exit_zero(self, capsys, write_files, diagonal_pair):
         code, out, _ = run_cli(capsys, "solve", "--input", instance_file(write_files, diagonal_pair))

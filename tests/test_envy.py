@@ -2,10 +2,11 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
+from wefhouse.bipartite import max_weight_assignment
 from wefhouse.envy import (
     PathWeights,
     PositiveCycle,
@@ -302,6 +303,45 @@ class TestPermutationResistance:
                 assert is_wefable(
                     inst, allocation
                 ) == oracle_permutation_resistant(inst, allocation)
+
+    def test_matches_assignment_view_beyond_oracle_scale(self):
+        # WEFable iff the identity is a maximum-weight assignment of
+        # M[i][j] = u_i(A_j) / w_j: a permutation beats the identity iff one
+        # of its cycles is a positive envy cycle
+        def identity_is_optimal(inst, allocation):
+            ratio = [
+                [inst.utilities[i][allocation[j]] / inst.weights[j] for j in range(inst.n)]
+                for i in range(inst.n)
+            ]
+            den = lcm(*(r.denominator for row in ratio for r in row))
+            scaled = [[r.numerator * (den // r.denominator) for r in row] for row in ratio]
+            best = max_weight_assignment(scaled)
+            return sum(row[best[i]] for i, row in enumerate(scaled)) == sum(
+                scaled[i][i] for i in range(inst.n)
+            )
+
+        def generated(n, seed, structure, weights):
+            return generate_instance(GeneratorConfig(
+                n=n, m=2 * n, seed=7000 + 100 * n + seed, weights=weights,
+                utilities="uniform:0:20", structure=structure,
+            ))
+
+        outcomes = []
+        for n in (20, 40, 60):
+            for seed in range(6):
+                rng = random.Random(seed)
+                identical = generated(n, seed, "identical", "uniform:1:5")
+                unweighted = generated(n, seed, "general", "uniform:1:1")
+                weighted = generated(n, seed, "general", "uniform:1:5")
+                for inst, allocation in (
+                    (identical, Allocation(tuple(rng.sample(range(2 * n), n)))),
+                    (unweighted, unweighted_efable(unweighted)),
+                    (weighted, Allocation(tuple(rng.sample(range(2 * n), n)))),
+                ):
+                    wefable = is_wefable(inst, allocation)
+                    assert wefable == identity_is_optimal(inst, allocation)
+                    outcomes.append(wefable)
+        assert 0 < outcomes.count(False) < len(outcomes)
 
     def test_solver_output_is_wefable_with_zero_subsidy(self):
         for inst in random_instances(60, seed0=3600):

@@ -80,7 +80,8 @@ class TestDetectTwoTypes:
     def test_identical_rows_with_distinct_weights_are_two_types(self, identical_pair):
         part = detect_two_types(identical_pair)
         assert part is not None
-        assert part.large_values == part.small_values
+        rows = identical_pair.utilities
+        assert rows[part.large_agents[0]] == rows[part.small_agents[0]]
 
     def test_three_rows(self):
         inst = make_instance([1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -94,39 +95,22 @@ class TestSolveTwoTypes:
         assert is_wefable(two_type_pair, allocation)
 
     def test_flat_pair_no_wefable(self, flat_pair):
-        heavy_as_large = TwoTypePartition(
-            large_agents=(1,),
-            small_agents=(0,),
-            large_weight=flat_pair.weights[1],
-            small_weight=flat_pair.weights[0],
-            large_values=flat_pair.utilities[1],
-            small_values=flat_pair.utilities[0],
-        )
+        heavy_as_large = TwoTypePartition(large_agents=(1,), small_agents=(0,))
         assert solve_two_types(flat_pair, heavy_as_large) is None
         assert solve_two_types(flat_pair, heavy_as_large.swapped()) is None
 
-    def test_single_type_partition_dispatches(self):
-        # degenerate group: all agents identical, any allocation qualifies
+    def test_single_type_partition_rejected(self):
+        # detect_two_types never returns one group; a hand-built one is refused
         inst = make_instance([2, 2], [[6, 3], [6, 3]])
-        part = TwoTypePartition(
-            (0, 1), (), inst.weights[0], inst.weights[0],
-            inst.utilities[0], inst.utilities[0],
-        )
-        allocation = solve_two_types(inst, part)
-        assert allocation is not None
-        assert is_wefable(inst, allocation)
+        for part in (TwoTypePartition((0, 1), ()), TwoTypePartition((), (0, 1))):
+            with pytest.raises(InconsistentPartition):
+                solve_two_types(inst, part)
 
-    def test_inconsistent_partition(self, two_type_pair):
-        bad = TwoTypePartition(
-            (0,),
-            (1,),
-            two_type_pair.weights[1],  # weights swapped relative to agents
-            two_type_pair.weights[0],
-            two_type_pair.utilities[1],
-            two_type_pair.utilities[0],
-        )
+    def test_inconsistent_partition(self):
+        # agent 2 differs from agent 0, the first of its group
+        inst = make_instance([1, 1, 2], [[1, 0, 0], [1, 0, 0], [0, 1, 0]])
         with pytest.raises(InconsistentPartition):
-            solve_two_types(two_type_pair, bad)
+            solve_two_types(inst, TwoTypePartition((0, 2), (1,)))
 
     def test_agrees_with_oracle_on_sweep(self):
         for inst in random_instances(
@@ -174,11 +158,10 @@ class TestRepresentingGraph:
         inst = make_instance([1, 2], [[1, 0], [0, 1]])
         graph = representing_graph(inst)
         assert graph.neighbors == ((0,), (1,))
-        assert graph.epsilon == 0
 
     def test_epsilon_half(self):
         inst = make_instance([1, 1], [["1/2", 1], [1, "1/2"]])
-        assert representing_graph(inst).epsilon == Fraction(1, 2)
+        assert representing_graph(inst) == RepresentingGraph(((1,), (0,)))
 
     def test_all_ones(self):
         inst = make_instance([1, 1], [[1, 1], [1, 1]])
@@ -321,7 +304,7 @@ class TestEnumerateMaximumMatchings:
 
     def test_long_diagonal_needs_no_recursion(self):
         n = 1500
-        graph = RepresentingGraph(tuple((i,) for i in range(n)), Fraction(0))
+        graph = RepresentingGraph(tuple((i,) for i in range(n)))
         assert list(itertools.islice(enumerate_maximum_matchings(graph), 1)) == [tuple(range(n))]
 
     @pytest.mark.parametrize(
@@ -347,7 +330,7 @@ class TestEnumerateMaximumMatchings:
             return maximum_matching(rows, house_count)
 
         monkeypatch.setattr("wefhouse.special.maximum_matching", counting)
-        graph = RepresentingGraph(neighbors, Fraction(0))
+        graph = RepresentingGraph(neighbors)
         found = list(itertools.islice(enumerate_maximum_matchings(graph), read))
         assert len(found) == matchings
         assert len(counted) == calls
